@@ -22,24 +22,27 @@ const (
 	benchWarm = 30_000
 )
 
-func benchTable(b *testing.B, gen func(*exp.Runner) exp.Table) {
+func benchTable(b *testing.B, spec exp.Spec) {
 	b.Helper()
 	var rows int
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRunner(benchN, benchWarm)
-		t := gen(r)
+		t, err := spec.Generate(context.Background(), r)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rows = len(t.Rows)
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
 
-func BenchmarkTable2(b *testing.B) { benchTable(b, exp.Table2) }
-func BenchmarkTable3(b *testing.B) { benchTable(b, exp.Table3) }
-func BenchmarkTable4(b *testing.B) { benchTable(b, exp.Table4) }
-func BenchmarkTable5(b *testing.B) { benchTable(b, exp.Table5) }
-func BenchmarkTable6(b *testing.B) { benchTable(b, exp.Table6) }
-func BenchmarkTable7(b *testing.B) { benchTable(b, exp.Table7) }
-func BenchmarkTable8(b *testing.B) { benchTable(b, exp.Table8) }
+func BenchmarkTable2(b *testing.B) { benchTable(b, exp.Table2Spec()) }
+func BenchmarkTable3(b *testing.B) { benchTable(b, exp.Table3Spec()) }
+func BenchmarkTable4(b *testing.B) { benchTable(b, exp.Table4Spec()) }
+func BenchmarkTable5(b *testing.B) { benchTable(b, exp.Table5Spec()) }
+func BenchmarkTable6(b *testing.B) { benchTable(b, exp.Table6Spec()) }
+func BenchmarkTable7(b *testing.B) { benchTable(b, exp.Table7Spec()) }
+func BenchmarkTable8(b *testing.B) { benchTable(b, exp.Table8Spec()) }
 
 func BenchmarkFigure4(b *testing.B) {
 	// Also report the headline number: IA's average normalized VI-PT
@@ -58,11 +61,11 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ReportMetric(avgIA*100, "IA_pct_of_base_energy")
 }
 
-func BenchmarkFigure5(b *testing.B) { benchTable(b, exp.Figure5) }
-func BenchmarkFigure6(b *testing.B) { benchTable(b, exp.Figure6) }
+func BenchmarkFigure5(b *testing.B) { benchTable(b, exp.Figure5Spec()) }
+func BenchmarkFigure6(b *testing.B) { benchTable(b, exp.Figure6Spec()) }
 
-func BenchmarkSweepPageSize(b *testing.B) { benchTable(b, exp.PageSizeSweep) }
-func BenchmarkSweepIL1(b *testing.B)      { benchTable(b, exp.IL1Sweep) }
+func BenchmarkSweepPageSize(b *testing.B) { benchTable(b, exp.PageSizeSweepSpec()) }
+func BenchmarkSweepIL1(b *testing.B)      { benchTable(b, exp.IL1SweepSpec()) }
 
 // benchAll regenerates every table and figure from scratch with the given
 // worker-pool bound; BenchmarkAllSerial vs BenchmarkAllParallel is the
@@ -101,11 +104,19 @@ func BenchmarkAllSerialNoWarmFork(b *testing.B) {
 	}
 }
 
+// benchRun is sim.Run with the error checked.
+func benchRun(b *testing.B, opt sim.Options) {
+	b.Helper()
+	if _, err := sim.Run(opt); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed (instructions
 // per wall second) for the default configuration.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sim.MustRun(sim.Options{
+		benchRun(b, sim.Options{
 			Profile: workload.Mesa(), Scheme: core.IA, Style: cache.VIPT,
 			Instructions: 500_000, Warmup: 1,
 		})
@@ -119,11 +130,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // the design choice DESIGN.md calls out for the IA scheme.
 func BenchmarkAblationCFRCheckpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sim.MustRun(sim.Options{
+		benchRun(b, sim.Options{
 			Profile: workload.Crafty(), Scheme: core.IA, Style: cache.VIPT,
 			Instructions: 200_000, Warmup: 1,
 		})
-		sim.MustRun(sim.Options{
+		benchRun(b, sim.Options{
 			Profile: workload.Crafty(), Scheme: core.HoA, Style: cache.VIPT,
 			Instructions: 200_000, Warmup: 1,
 		})

@@ -17,8 +17,18 @@ import (
 
 func testRunner() *Runner { return NewRunner(60_000, 20_000) }
 
+// generate is Spec.Generate with the error checked.
+func generate(t *testing.T, s Spec, r *Runner) Table {
+	t.Helper()
+	tb, err := s.Generate(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 func TestTable1Static(t *testing.T) {
-	tb := Table1()
+	tb := generate(t, Table1Spec(), nil)
 	if len(tb.Rows) < 10 {
 		t.Fatalf("Table 1 too short: %d rows", len(tb.Rows))
 	}
@@ -88,14 +98,14 @@ func TestParallelDeterminism(t *testing.T) {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := testRunner()
-	Table5(r)
+	generate(t, Table5Spec(), r)
 	n := r.Runs()
-	Table5(r)
+	generate(t, Table5Spec(), r)
 	if r.Runs() != n {
 		t.Error("repeated generation must not re-simulate")
 	}
 	// Table 2 shares the base VI-PT runs with Table 5.
-	Table2(r)
+	generate(t, Table2Spec(), r)
 	if r.Runs() != n+6 { // only the six VI-VT base runs are new
 		t.Errorf("Table 2 after Table 5 should add 6 runs, added %d", r.Runs()-n)
 	}
@@ -155,7 +165,7 @@ func TestPrefetchWarmsMemo(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Prefetch ran no simulations")
 	}
-	Table5(r)
+	generate(t, Table5Spec(), r)
 	if r.Runs() != n {
 		t.Errorf("Table 5 after Prefetch re-simulated: %d -> %d runs", n, r.Runs())
 	}

@@ -52,9 +52,6 @@ func Figure4Spec() Spec {
 	}
 }
 
-// Figure4 reproduces the normalized iTLB energy chart.
-func Figure4(r *Runner) Table { return mustGenerate(Figure4Spec(), r) }
-
 // Figure5Spec declares the normalized execution cycles under VI-VT.
 func Figure5Spec() Spec {
 	return Spec{
@@ -88,9 +85,6 @@ func Figure5Spec() Spec {
 		},
 	}
 }
-
-// Figure5 reproduces the normalized VI-VT execution cycles.
-func Figure5(r *Runner) Table { return mustGenerate(Figure5Spec(), r) }
 
 // figure6Cases are the two-level-versus-monolithic comparisons of Figure 6.
 func figure6Cases() []struct {
@@ -149,6 +143,3 @@ func Figure6Spec() Spec {
 		},
 	}
 }
-
-// Figure6 reproduces the two-level iTLB comparison.
-func Figure6(r *Runner) Table { return mustGenerate(Figure6Spec(), r) }

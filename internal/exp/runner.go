@@ -135,9 +135,9 @@ func NewRunner(instructions, warmup uint64) *Runner {
 }
 
 // normalize applies the Runner's simulation length and canonicalizes every
-// defaulted field to its explicit value (store.Canonical), so that options
-// that differ only in how they spell the default share a memo slot — and a
-// disk entry — instead of re-simulating.
+// defaulted field to its explicit value (sim.Options.Canonical), so that
+// options that differ only in how they spell the default share a memo slot
+// — and a disk entry — instead of re-simulating.
 func (r *Runner) normalize(opt sim.Options) sim.Options {
 	if opt.Instructions == 0 {
 		opt.Instructions = r.Instructions
@@ -145,7 +145,7 @@ func (r *Runner) normalize(opt sim.Options) sim.Options {
 	if opt.Warmup == 0 {
 		opt.Warmup = r.Warmup
 	}
-	return store.Canonical(opt)
+	return opt.Canonical()
 }
 
 // Key returns the canonical store key opt resolves to under this Runner —

@@ -129,14 +129,3 @@ func (s Spec) Generate(ctx context.Context, r *Runner) (Table, error) {
 	}
 	return t, nil
 }
-
-// mustGenerate backs the serial compatibility wrappers (Table2, Figure4,
-// ...), which keep the monolith-era call shape: no context, panic on
-// simulation failure.
-func mustGenerate(s Spec, r *Runner) Table {
-	t, err := s.Generate(context.Background(), r)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

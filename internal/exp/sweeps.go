@@ -40,9 +40,6 @@ func PageSizeSweepSpec() Spec {
 	}
 }
 
-// PageSizeSweep reproduces the §4.4 page-size sensitivity.
-func PageSizeSweep(r *Runner) Table { return mustGenerate(PageSizeSweepSpec(), r) }
-
 // il1Pipelines returns Table 1 machines with the given iL1 sizes.
 func il1Pipelines(sizes []int) []*pipeline.Config {
 	cfgs := make([]*pipeline.Config, len(sizes))
@@ -86,9 +83,6 @@ func IL1SweepSpec() Spec {
 	}
 }
 
-// IL1Sweep reproduces the §4.4 iL1 sensitivity.
-func IL1Sweep(r *Runner) Table { return mustGenerate(IL1SweepSpec(), r) }
-
 // DataCFRSweepSpec declares the §5 future-work ablation: how many dTLB
 // lookups a data-side CFR would avoid, per benchmark.
 func DataCFRSweepSpec() Spec {
@@ -121,9 +115,6 @@ func DataCFRSweepSpec() Spec {
 		},
 	}
 }
-
-// DataCFRSweep reproduces the §5 data-side ablation.
-func DataCFRSweep(r *Runner) Table { return mustGenerate(DataCFRSweepSpec(), r) }
 
 // ContextSwitchSweepSpec declares the §3.2 OS-contract sweep: the CFR is
 // saved/restored across context switches while the iTLB flushes, so the CFR
@@ -172,9 +163,6 @@ func ContextSwitchSweepSpec() Spec {
 	}
 }
 
-// ContextSwitchSweep reproduces the §3.2 context-switch pressure sweep.
-func ContextSwitchSweep(r *Runner) Table { return mustGenerate(ContextSwitchSweepSpec(), r) }
-
 // TechSweepSpec declares the technology-scaling sweep: absolute iTLB+CFR
 // energy for Base and IA at the paper's 0.1 µm point and two shrinks. The
 // technology point only rescales joules — every architectural count is
@@ -213,6 +201,3 @@ func TechSweepSpec() Spec {
 		},
 	}
 }
-
-// TechSweep renders the technology-scaling sweep.
-func TechSweep(r *Runner) Table { return mustGenerate(TechSweepSpec(), r) }

@@ -47,9 +47,6 @@ func Table1Spec() Spec {
 	}
 }
 
-// Table1 renders the default machine configuration.
-func Table1() Table { return mustGenerate(Table1Spec(), nil) }
-
 // Table2Spec declares the benchmark-characteristics table: base cycles and
 // iTLB energy under VI-PT and VI-VT, iL1 miss rate, dynamic branches, and
 // the BOUNDARY/BRANCH page-crossing split.
@@ -91,9 +88,6 @@ func Table2Spec() Spec {
 	}
 }
 
-// Table2 reproduces the benchmark-characteristics table.
-func Table2(r *Runner) Table { return mustGenerate(Table2Spec(), r) }
-
 // Table3Spec declares the dynamic lookup counts of SoCA, SoLA and IA under
 // VI-PT, split into BOUNDARY and BRANCH causes.
 func Table3Spec() Spec {
@@ -127,9 +121,6 @@ func Table3Spec() Spec {
 		},
 	}
 }
-
-// Table3 reproduces the dynamic iTLB lookup counts.
-func Table3(r *Runner) Table { return mustGenerate(Table3Spec(), r) }
 
 // Table4Spec declares the static and dynamic branch statistics. The static
 // half recompiles each benchmark (no simulation); the dynamic half reads the
@@ -167,9 +158,6 @@ func Table4Spec() Spec {
 	}
 }
 
-// Table4 reproduces the static and dynamic branch statistics.
-func Table4(r *Runner) Table { return mustGenerate(Table4Spec(), r) }
-
 // Table5Spec declares the branch predictor accuracies.
 func Table5Spec() Spec {
 	profiles := workload.Profiles()
@@ -192,9 +180,6 @@ func Table5Spec() Spec {
 		},
 	}
 }
-
-// Table5 reproduces the branch predictor accuracies.
-func Table5(r *Runner) Table { return mustGenerate(Table5Spec(), r) }
 
 // ITLBSweep lists Table 6/7's four monolithic iTLB design points.
 func ITLBSweep() []struct {
@@ -271,9 +256,6 @@ func Table6Spec() Spec {
 	}
 }
 
-// Table6 reproduces the iTLB-configuration energy/cycle table.
-func Table6(r *Runner) Table { return mustGenerate(Table6Spec(), r) }
-
 // Table7Spec declares IA's VI-PT execution cycles across iTLB
 // configurations.
 func Table7Spec() Spec {
@@ -299,9 +281,6 @@ func Table7Spec() Spec {
 		},
 	}
 }
-
-// Table7 reproduces IA's cycles across iTLB configurations.
-func Table7(r *Runner) Table { return mustGenerate(Table7Spec(), r) }
 
 // Table8Spec declares the PI-PT comparison: base PI-PT, PI-PT+IA, base
 // VI-PT, base VI-VT (energy and cycles).
@@ -334,6 +313,3 @@ func Table8Spec() Spec {
 		},
 	}
 }
-
-// Table8 reproduces the PI-PT comparison.
-func Table8(r *Runner) Table { return mustGenerate(Table8Spec(), r) }

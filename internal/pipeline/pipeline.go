@@ -209,14 +209,6 @@ type Machine struct {
 	mlp           float64                 // cfg.MLPFactor
 	walkFn        func(vpn uint64) uint64 // bound m.space.Walk (avoids a per-miss closure)
 
-	// dhot memoizes the dTLB's most recent translation with deferred batched
-	// accounting (see tlb.HotSlot) — the data-side analogue of the iTLB hot
-	// slots. It layers under the data-CFR check in accountMem and is
-	// invalidated on context switch and on remap of its resident page,
-	// exactly like the data CFR. Every dTLB observation or mutation in this
-	// file must flush (or drop) it first.
-	dhot *tlb.HotSlot
-
 	// Correct-path step read-ahead. When the source is a program.Batcher,
 	// steps are pulled stepBufLen at a time into stepBuf and consumed from
 	// stepPos; srcState holds the source's position captured just before the
@@ -294,7 +286,6 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	m.dramLatency = cfg.DRAMLatency
 	m.mlp = cfg.MLPFactor
 	m.walkFn = space.Walk
-	m.dhot = m.dtlb.NewHotSlot()
 	if b, ok := ex.(program.Batcher); ok {
 		m.batcher = b
 		m.stepBuf = make([]program.Step, stepBufLen)
@@ -303,14 +294,13 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	m.snap, _ = ex.(program.Snapshotter)
 	m.fetchPC = img.Entry
 	m.sequential = true
-	// The OS invalidates the data-side translation registers — the data CFR
-	// and the dTLB hot slot — alongside the dTLB entry when the resident
-	// page is remapped, mirroring the instruction-side contract (§3.2).
+	// The OS invalidates the data CFR alongside the dTLB entry when the
+	// resident page is remapped, mirroring the instruction-side contract
+	// (§3.2).
 	space.OnInvalidate(func(vpn uint64) {
 		if m.dcfrValid && m.dcfrVPN == vpn {
 			m.dcfrValid = false
 		}
-		m.dhot.Invalidate()
 	})
 	return m, nil
 }
@@ -338,7 +328,6 @@ func (m *Machine) ResetStats() {
 	m.il1.ResetStats()
 	m.dl1.ResetStats()
 	m.l2.ResetStats()
-	m.dhot.Flush() // settle deferred dTLB accounting before zeroing it
 	m.dtlb.ResetStats()
 	m.pred.ResetStats()
 	m.engine.ResetStats()
@@ -362,7 +351,6 @@ func (m *Machine) Run(n uint64) Result {
 	m.res.IL1 = m.il1.Stats()
 	m.res.L2 = m.l2.Stats()
 	m.res.DL1 = m.dl1.Stats()
-	m.dhot.Flush() // settle deferred dTLB accounting before reading it
 	m.res.DTLB = m.dtlb.Stats()
 	return m.res
 }
@@ -783,9 +771,7 @@ func (m *Machine) accountCommit(s *program.Step) {
 // re-reading and re-writing the field per op; the float additions happen in
 // exactly the order the clock field would have seen them, so the sum is
 // bit-identical. Translation layering: the data CFR (when enabled) is
-// checked first, then the dTLB hot slot — a memo of the most recent dTLB
-// translation with deferred batched accounting (tlb.HotSlot) — and only then
-// the dTLB proper.
+// checked first, and only on a miss the dTLB.
 func (m *Machine) accountMem(s *program.Step, bc float64) float64 {
 	// With the data-CFR extension enabled, same-page references ride the
 	// register instead of the dTLB.
@@ -795,7 +781,7 @@ func (m *Machine) accountMem(s *program.Step, bc float64) float64 {
 		m.res.DCFRHits++
 		pa = m.geom.Translate(m.dcfrPFN, s.Data)
 	} else {
-		tr := m.dhot.Lookup(vpn, m.walkFn)
+		tr := m.dtlb.Lookup(vpn, m.walkFn)
 		if tr.ExtraCycles != 0 {
 			// Skipping the += 0.0 of a hit is exact: adding +0.0 to a
 			// non-negative float is the identity.
@@ -849,7 +835,6 @@ func (m *Machine) accountCross(s *program.Step) {
 func (m *Machine) contextSwitch() {
 	m.res.ContextSwitches++
 	m.engine.OnContextSwitch()
-	m.dhot.Invalidate() // settle deferred accounting, then drop the memo
 	m.dtlb.Flush()
 	m.dcfrValid = false
 	m.frontCycle += uint64(m.cfg.Bpred.MispredictPenalty) // drain/refill
@@ -936,7 +921,6 @@ func (m *Machine) Checkpoint() (*MachineState, bool) {
 	if m.snap == nil {
 		return nil, false
 	}
-	m.dhot.Flush() // settle deferred dTLB accounting before snapshotting it
 	st := &MachineState{
 		frontCycle:     m.frontCycle,
 		backCycle:      m.backCycle,
@@ -988,9 +972,6 @@ func (m *Machine) Restore(st *MachineState) error {
 	if err := m.l2.Restore(st.l2); err != nil {
 		return fmt.Errorf("pipeline: L2: %w", err)
 	}
-	// Deferred hot-slot accounting from the timeline being discarded must
-	// not leak into the restored state.
-	m.dhot.Drop()
 	if err := m.dtlb.Restore(st.dtlb); err != nil {
 		return fmt.Errorf("pipeline: dTLB: %w", err)
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"log"
 
 	"itlbcfr/internal/cache"
 	"itlbcfr/internal/core"
@@ -20,9 +21,15 @@ func ExampleRun() {
 	}
 
 	opts.Scheme = core.Base
-	base := sim.MustRun(opts)
+	base, err := sim.Run(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts.Scheme = core.IA
-	ia := sim.MustRun(opts)
+	ia, err := sim.Run(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("IA avoids %d of %d iTLB lookups\n",
 		base.Engine.Lookups-ia.Engine.Lookups, base.Engine.Lookups)

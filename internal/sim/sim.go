@@ -79,7 +79,7 @@ type Options struct {
 	ITLB    tlb.Config
 
 	// Trace, when non-nil, makes a stored trace the workload; Profile is
-	// ignored (and normalized away by the store's canonicalization).
+	// ignored (and cleared by Canonical).
 	Trace *TraceRef
 
 	// Instructions and Warmup default to the package constants when zero.
@@ -94,6 +94,44 @@ type Options struct {
 
 	// Tech overrides the 0.1 µm energy technology point when non-nil.
 	Tech *energy.Tech
+}
+
+// Canonical returns o with every defaulted field resolved to its explicit
+// value, so that two spellings of one simulation — zero vs. 4096-byte pages,
+// an empty vs. the explicit Table 1 iTLB, a nil vs. the explicit default
+// pipeline or technology point — become equal. It is the only place
+// defaults are resolved: Validate, Run, the warm-state pool, the Runner memo,
+// the disk store and the HTTP API all read its output. The pipeline's iL1
+// style is set to Style (Run would overwrite it anyway), and under a Trace
+// the Profile is cleared: the trace's content address alone identifies the
+// workload. o is not mutated; the pipeline override is copied.
+func (o Options) Canonical() Options {
+	if o.Instructions == 0 {
+		o.Instructions = DefaultInstructions
+	}
+	if o.Warmup == 0 {
+		o.Warmup = DefaultWarmup
+	}
+	if len(o.ITLB.Levels) == 0 {
+		o.ITLB = DefaultITLB()
+	}
+	if o.PageBytes == 0 {
+		o.PageBytes = addr.DefaultGeometry.PageBytes()
+	}
+	pcfg := DefaultPipeline()
+	if o.Pipeline != nil {
+		pcfg = *o.Pipeline
+	}
+	pcfg.IL1Style = o.Style
+	o.Pipeline = &pcfg
+	if o.Tech == nil {
+		t := energy.DefaultTech
+		o.Tech = &t
+	}
+	if o.Trace != nil {
+		o.Profile = workload.Profile{}
+	}
+	return o
 }
 
 // Timing is one run's wall-clock phase breakdown — how long the simulator
@@ -130,16 +168,15 @@ type Result struct {
 	Timing Timing      `json:"timing"`
 }
 
-// Validate checks the options without running anything: page geometry,
-// workload profile, scheme/style, the iTLB configuration (defaulted when
-// empty) and any pipeline override. Run performs exactly these checks; the
+// Validate checks the canonical form of the options without running
+// anything: page geometry, workload profile, scheme/style, the iTLB
+// configuration and the pipeline. Run performs exactly these checks; the
 // result store and the HTTP API validate through the same path so a
 // configuration is rejected identically everywhere.
 func (o Options) Validate() error {
-	if o.PageBytes != 0 {
-		if _, err := addr.NewGeometry(o.PageBytes); err != nil {
-			return err
-		}
+	o = o.Canonical()
+	if _, err := addr.NewGeometry(o.PageBytes); err != nil {
+		return err
 	}
 	if o.Trace != nil {
 		if o.Trace.Key == "" {
@@ -154,19 +191,10 @@ func (o Options) Validate() error {
 	if !o.Style.Known() {
 		return fmt.Errorf("sim: unknown style %d", int(o.Style))
 	}
-	itlbCfg := o.ITLB
-	if len(itlbCfg.Levels) == 0 {
-		itlbCfg = DefaultITLB()
-	}
-	if err := itlbCfg.Validate(); err != nil {
+	if err := o.ITLB.Validate(); err != nil {
 		return fmt.Errorf("sim: iTLB config: %w", err)
 	}
-	if o.Pipeline != nil {
-		if err := o.Pipeline.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.Pipeline.Validate()
 }
 
 // BenchName returns the workload identity results carry: the profile name,
@@ -196,26 +224,15 @@ type built struct {
 	setup  float64   // construction wall seconds
 }
 
-// build constructs the full simulation stack for opt (already validated):
-// workload, compiler, CFR engine, energy meter and pipeline.
+// build constructs the full simulation stack for opt (canonical and
+// validated): workload, compiler, CFR engine, energy meter and pipeline.
 func build(opt Options) (*built, error) {
 	setupStart := time.Now()
 
 	b := &built{n: opt.Instructions, warm: opt.Warmup}
-	if b.n == 0 {
-		b.n = DefaultInstructions
-	}
-	if opt.Warmup == 0 {
-		b.warm = DefaultWarmup
-	}
-
-	geom := addr.DefaultGeometry
-	if opt.PageBytes != 0 {
-		g, err := addr.NewGeometry(opt.PageBytes)
-		if err != nil {
-			return nil, err
-		}
-		geom = g
+	geom, err := addr.NewGeometry(opt.PageBytes)
+	if err != nil {
+		return nil, err
 	}
 
 	// The workload is either a generated synthetic image walked by the
@@ -251,28 +268,13 @@ func build(opt Options) (*built, error) {
 		src = program.NewExecutor(compiled, opt.Profile.Seed^0xC0FFEE, opt.Profile.DataStreams())
 	}
 
-	itlbCfg := opt.ITLB
-	if len(itlbCfg.Levels) == 0 {
-		itlbCfg = DefaultITLB()
-	}
-	tech := energy.DefaultTech
-	if opt.Tech != nil {
-		tech = *opt.Tech
-	}
-
 	b.space = vm.New(geom, 1)
-	b.itlb = tlb.New(itlbCfg)
-	b.meter = energy.NewMeter(energy.NewModel(tech), itlbCfg.EntriesPerLevel(), itlbCfg.AssocPerLevel())
+	b.itlb = tlb.New(opt.ITLB)
+	b.meter = energy.NewMeter(energy.NewModel(*opt.Tech), opt.ITLB.EntriesPerLevel(), opt.ITLB.AssocPerLevel())
 	b.itlb.AttachMeter(b.meter)
 	b.engine = core.NewEngine(opt.Scheme, opt.Style, geom, b.itlb, b.space, b.meter)
 
-	pcfg := DefaultPipeline()
-	if opt.Pipeline != nil {
-		pcfg = *opt.Pipeline
-	}
-	pcfg.IL1Style = opt.Style
-
-	m, err := pipeline.New(pcfg, compiled, src, b.engine, b.space)
+	m, err := pipeline.New(*opt.Pipeline, compiled, src, b.engine, b.space)
 	if err != nil {
 		if b.closer != nil {
 			b.closer.Close()
@@ -330,6 +332,7 @@ func Run(opt Options) (Result, error) { return RunWith(opt, nil) }
 // re-executing the warm-up — byte-identical results, a fraction of the
 // time. A nil pool makes RunWith exactly Run.
 func RunWith(opt Options, pool *WarmPool) (Result, error) {
+	opt = opt.Canonical()
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -342,18 +345,16 @@ func RunWith(opt Options, pool *WarmPool) (Result, error) {
 	}
 
 	timing := Timing{SetupSeconds: b.setup}
-	if b.warm > 0 {
-		warmStart := time.Now()
-		if pool != nil {
-			err = pool.warmup(opt, b)
-		} else {
-			b.runWarm()
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		timing.WarmupSeconds = time.Since(warmStart).Seconds()
+	warmStart := time.Now()
+	if pool != nil {
+		err = pool.warmup(opt, b)
+	} else {
+		b.runWarm()
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	timing.WarmupSeconds = time.Since(warmStart).Seconds()
 	res := b.machine.Run(b.n)
 	timing.MeasureSeconds = res.WallSeconds
 	timing.InstPerSec = res.InstPerSec()
@@ -367,13 +368,4 @@ func RunWith(opt Options, pool *WarmPool) (Result, error) {
 	}
 	return Result{Result: res, Bench: opt.BenchName(), Scheme: opt.Scheme,
 		Style: opt.Style, Timing: timing}, nil
-}
-
-// MustRun is Run for known-good options.
-func MustRun(opt Options) Result {
-	r, err := Run(opt)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -204,8 +204,14 @@ func TestTwoLevelITLBEnergyVsMonolithicIA(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	opt := Options{Profile: workload.Fma3d(), Scheme: core.IA, Style: cache.VIVT,
 		Instructions: 80_000, Warmup: 20_000}
-	a := MustRun(opt)
-	b := MustRun(opt)
+	a, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Cycles != b.Cycles || a.EnergyMJ != b.EnergyMJ || a.Engine.Lookups != b.Engine.Lookups {
 		t.Error("identical options must produce identical results")
 	}

@@ -6,14 +6,10 @@ import (
 	"fmt"
 	"sync"
 
-	"itlbcfr/internal/addr"
-	"itlbcfr/internal/cache"
 	"itlbcfr/internal/core"
-	"itlbcfr/internal/energy"
 	"itlbcfr/internal/pipeline"
 	"itlbcfr/internal/tlb"
 	"itlbcfr/internal/vm"
-	"itlbcfr/internal/workload"
 )
 
 // warmState is one pooled post-warm-up snapshot: the machine (clocks,
@@ -29,56 +25,20 @@ type warmState struct {
 	space   *vm.State
 }
 
-// warmKey is the identity of a warm-up: every Options field that can
-// influence the first Warmup instructions, with defaults resolved so
-// spellings of the same configuration share a slot. Instructions is
-// excluded because the measured length only matters after the boundary;
-// Tech is excluded because the energy technology scales reported joules
-// without touching a single architectural decision (and the meter is reset
-// at the boundary anyway). This key is deliberately finer than "benchmark ×
-// warm-up length": the scheme, style, iTLB, page size and pipeline all
-// shape cache/TLB/CFR contents during warm-up, so two runs differing in any
-// of them must not share state.
-type warmKey struct {
-	Profile   workload.Profile `json:"profile"`
-	TraceKey  string           `json:"trace,omitempty"`
-	Scheme    core.Scheme      `json:"scheme"`
-	Style     cache.Style      `json:"style"`
-	ITLB      tlb.Config       `json:"itlb"`
-	Warmup    uint64           `json:"warmup"`
-	PageBytes uint64           `json:"page_bytes"`
-	Pipeline  pipeline.Config  `json:"pipeline"`
-	Tech      *energy.Tech     `json:"-"` // documented exclusion, never set
-}
-
-// keyOf renders opt's warm identity as a canonical string.
+// keyOf renders opt's warm identity: the JSON of its canonical form with
+// Instructions and Tech zeroed. Every other Options field can influence the
+// first Warmup instructions, and resolving defaults first lets spellings of
+// the same configuration share a slot. Instructions is excluded because the
+// measured length only matters after the boundary; Tech is excluded because
+// the energy technology scales reported joules without touching a single
+// architectural decision (and the meter is reset at the boundary anyway).
+// The key is deliberately finer than "benchmark × warm-up length": the
+// scheme, style, iTLB, page size and pipeline all shape cache/TLB/CFR
+// contents during warm-up, so two runs differing in any of them must not
+// share state. A new Options field joins the key automatically.
 func keyOf(opt Options) string {
-	k := warmKey{
-		Profile:   opt.Profile,
-		Scheme:    opt.Scheme,
-		Style:     opt.Style,
-		ITLB:      opt.ITLB,
-		Warmup:    opt.Warmup,
-		PageBytes: opt.PageBytes,
-	}
-	if opt.Trace != nil {
-		k.TraceKey = opt.Trace.Key
-		k.Profile = workload.Profile{} // ignored under a trace workload
-	}
-	if len(k.ITLB.Levels) == 0 {
-		k.ITLB = DefaultITLB()
-	}
-	if k.Warmup == 0 {
-		k.Warmup = DefaultWarmup
-	}
-	if k.PageBytes == 0 {
-		k.PageBytes = addr.DefaultGeometry.PageBytes()
-	}
-	k.Pipeline = DefaultPipeline()
-	if opt.Pipeline != nil {
-		k.Pipeline = *opt.Pipeline
-	}
-	k.Pipeline.IL1Style = opt.Style
+	k := opt.Canonical()
+	k.Instructions, k.Tech = 0, nil
 	buf, err := json.Marshal(k)
 	if err != nil {
 		panic(fmt.Sprintf("sim: warm key not marshalable: %v", err))
@@ -195,6 +155,7 @@ func (p *WarmPool) Prewarm(ctx context.Context, jobs []Options, workers int) {
 	var own []job
 	seen := make(map[string]bool)
 	for _, o := range jobs {
+		o = o.Canonical()
 		if o.Validate() != nil {
 			continue
 		}

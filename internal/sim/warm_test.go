@@ -111,6 +111,9 @@ func TestWarmKeySharing(t *testing.T) {
 	if keyOf(def) != keyOf(zero) {
 		t.Error("a spelled-out default warm-up must share the defaulted key")
 	}
+	if keyOf(base) != keyOf(base.Canonical()) {
+		t.Error("spelled-out defaults must share the defaulted key")
+	}
 }
 
 // TestWarmTechForkScalesEnergyOnly checks the documented reason Tech is

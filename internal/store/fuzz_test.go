@@ -54,11 +54,11 @@ func FuzzCanonicalKey(f *testing.F) {
 			pipeBefore = &snap
 		}
 
-		c1 := Canonical(opt)
+		c1 := opt.Canonical()
 		if pipeBefore != nil && !reflect.DeepEqual(*opt.Pipeline, *pipeBefore.Pipeline) {
 			t.Fatalf("Canonical mutated the caller's pipeline: %+v", *opt.Pipeline)
 		}
-		c2 := Canonical(c1)
+		c2 := c1.Canonical()
 		if !reflect.DeepEqual(c1, c2) {
 			t.Fatalf("Canonical not idempotent:\n first %+v\nsecond %+v", c1, c2)
 		}

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"itlbcfr/internal/fsutil"
 	"itlbcfr/internal/sim"
 )
 
@@ -115,32 +116,12 @@ func (s *Store) Put(key string, res sim.Result) error {
 }
 
 func (s *Store) put(key string, res sim.Result) error {
-	p := s.path(key)
-	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	b, err := json.Marshal(envelope{Schema: SchemaVersion, Key: key, Result: res})
 	if err != nil {
 		return fmt.Errorf("store: encode %s: %w", key, err)
 	}
-	f, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := fsutil.WriteFileAtomic(s.path(key), b); err != nil {
 		return fmt.Errorf("store: write %s: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: install %s: %w", key, err)
 	}
 	return nil
 }

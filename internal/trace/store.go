@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"itlbcfr/internal/addr"
+	"itlbcfr/internal/fsutil"
 )
 
 // SchemaVersion stamps trace keys ("t<version>-<sha256>") and meta files,
@@ -248,39 +249,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeAtomic installs b at path via temp-file + rename.
-func (s *Store) writeAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	f, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
 func (s *Store) writeMeta(m Meta) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("trace: encode meta: %w", err)
 	}
-	return s.writeAtomic(s.metaPath(m.Key), b)
+	if err := fsutil.WriteFileAtomic(s.metaPath(m.Key), b); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }
 
 // Meta returns the stored description of key.
@@ -333,7 +310,10 @@ func (s *Store) SetName(alias, key string) error {
 	if err != nil {
 		return err
 	}
-	return s.writeAtomic(s.namePath(alias), b)
+	if err := fsutil.WriteFileAtomic(s.namePath(alias), b); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }
 
 // lookupName resolves a registered alias to its key.
