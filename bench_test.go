@@ -52,8 +52,14 @@ func BenchmarkFigure4(b *testing.B) {
 		r := exp.NewRunner(benchN, benchWarm)
 		var sum float64
 		for _, p := range workload.Profiles() {
-			base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
-			ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT})
+			base, err := r.Result(context.Background(), sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ia, err := r.Result(context.Background(), sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT})
+			if err != nil {
+				b.Fatal(err)
+			}
 			sum += ia.EnergyMJ / base.EnergyMJ
 		}
 		avgIA = sum / float64(len(workload.Profiles()))

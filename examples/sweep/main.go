@@ -36,13 +36,13 @@ func main() {
 			Schemes: []core.Scheme{core.Base, core.IA},
 			ITLBs:   itlbs,
 		}},
-		Rows: func(r *exp.Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, it := range itlbs {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, ITLB: it})
-					ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: it})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, ITLB: it})
+					ia := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: it})
 					row = append(row, fmt.Sprintf("%.2f%%", 100*ia.EnergyMJ/base.EnergyMJ))
 				}
 				rows = append(rows, row)

@@ -6,13 +6,13 @@ import "testing"
 // fast path hammers hardest.
 var dl1Config = Config{SizeBytes: 8 << 10, BlockBytes: 32, Assoc: 2, WriteBack: true}
 
-// BenchmarkCacheAccess measures the three regimes Access dispatches between:
-// the same-block memo (back-to-back references into one block), the unrolled
-// two-way probe under a streaming hit pattern, and a conflict stream that
-// misses and evicts on nearly every access. Keeping all three visible in one
-// table shows where a layout change pays and where it costs.
+// BenchmarkCacheAccess measures Access under four access patterns:
+// back-to-back references into one block, a two-way streaming hit pattern,
+// a conflict stream that misses and evicts on nearly every access, and a
+// direct-mapped streaming hit pattern. Keeping them visible in one table
+// shows where a layout change pays and where it costs.
 func BenchmarkCacheAccess(b *testing.B) {
-	b.Run("same-block-memo", func(b *testing.B) {
+	b.Run("same-block", func(b *testing.B) {
 		c := New(dl1Config)
 		c.Access(64, 64, false)
 		b.ReportAllocs()
@@ -23,8 +23,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	})
 	b.Run("two-way-hit", func(b *testing.B) {
 		c := New(dl1Config)
-		// Resident working set: half the cache, touched round-robin so the
-		// memo never matches but every probe hits.
+		// Resident working set: half the cache, touched round-robin so
+		// consecutive accesses never share a block but every probe hits.
 		const blocks = 128
 		for i := uint64(0); i < blocks; i++ {
 			c.Access(i*32, i*32, false)

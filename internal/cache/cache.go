@@ -135,11 +135,7 @@ type Stats struct {
 // and dirty bits packed into the high bits of each tag word: a probe touches
 // only the dense tag array (8 bytes per way, both ways of a 2-way set on one
 // host cache line) and a whole-way match is a single masked compare, which
-// keeps more of the simulated cache's directory in the host's cache. A
-// same-block memo (hotIB/hotTB/hotWay) short-circuits the set search entirely
-// when an access lands in the block the previous access hit or filled — the
-// dominant pattern for the dL1 under streaming loads and for back-to-back
-// fetch fills.
+// keeps more of the simulated cache's directory in the host's cache.
 type Cache struct {
 	cfg       Config
 	sets      int
@@ -156,15 +152,6 @@ type Cache struct {
 
 	tick  uint64
 	stats Stats
-
-	// Same-block memo: index block, tag block and way of the most recent
-	// access (hit or fill). Every fill rewrites it and Flush/Restore drop
-	// it, so while hotOK is set, way hotWay is guaranteed valid and to hold
-	// tag hotTB — the memo can never produce a false hit.
-	hotIB  uint64
-	hotTB  uint64
-	hotWay int32
-	hotOK  bool
 }
 
 // New builds a cache, panicking on invalid geometry (a programming error).
@@ -202,53 +189,16 @@ type Result struct {
 
 // Access looks up the block containing the address. indexAddr selects the
 // set, tagAddr provides the tag (see package comment). On a miss the block is
-// filled. write marks the block dirty (for write-back caches). The memo check
-// and full lookup share one function body deliberately: Access is too large
-// to inline either way, and a single frame keeps the cold path one call deep.
+// filled. write marks the block dirty (for write-back caches).
 func (c *Cache) Access(indexAddr, tagAddr uint64, write bool) Result {
-	ib := indexAddr >> c.blockBits
-	tb := tagAddr >> c.blockBits
 	c.stats.Accesses++
 	c.tick++
-	if c.hotOK && ib == c.hotIB && tb == c.hotTB {
-		// Same block as the previous access: the memoized way is guaranteed
-		// valid and tagged tb (see the field comment), so only the LRU stamp,
-		// the dirty bit and the access count need touching — exactly what the
-		// full hit path below would do.
-		w := c.hotWay
-		c.lru[w] = c.tick
-		if write && c.writeBack {
-			c.tags[w] |= dirtyFlag
-		}
-		return Result{Hit: true}
-	}
-	set := int(ib & c.setMask)
+	base := int((indexAddr>>c.blockBits)&c.setMask) * c.assoc
+	tb := tagAddr >> c.blockBits
 	want := tb | validFlag
-	switch c.assoc {
-	case 1: // direct-mapped: one candidate way, no victim search
-		if c.tags[set]&^uint64(dirtyFlag) == want {
-			return c.hitWay(set, ib, tb, write)
-		}
-		return c.fillWay(set, ib, tb, write)
-	case 2: // two-way: unrolled probe
-		a := set * 2
-		t0, t1 := c.tags[a], c.tags[a+1]
-		if t0&^uint64(dirtyFlag) == want {
-			return c.hitWay(a, ib, tb, write)
-		}
-		if t1&^uint64(dirtyFlag) == want {
-			return c.hitWay(a+1, ib, tb, write)
-		}
-		v := a
-		if t0&validFlag != 0 && (t1&validFlag == 0 || c.lru[a+1] < c.lru[a]) {
-			v = a + 1
-		}
-		return c.fillWay(v, ib, tb, write)
-	}
-	base := set * c.assoc
 	for w := base; w < base+c.assoc; w++ {
 		if c.tags[w]&^uint64(dirtyFlag) == want {
-			return c.hitWay(w, ib, tb, write)
+			return c.hitWay(w, write)
 		}
 	}
 	victim := base
@@ -261,24 +211,23 @@ func (c *Cache) Access(indexAddr, tagAddr uint64, write bool) Result {
 			victim = w
 		}
 	}
-	return c.fillWay(victim, ib, tb, write)
+	return c.fillWay(victim, tb, write)
 }
 
-// hitWay records a hit in way w and memoizes the block. The caller has
-// already counted the access and advanced the tick.
-func (c *Cache) hitWay(w int, ib, tb uint64, write bool) Result {
+// hitWay records a hit in way w. The caller has already counted the access
+// and advanced the tick.
+func (c *Cache) hitWay(w int, write bool) Result {
 	c.lru[w] = c.tick
 	if write && c.writeBack {
 		c.tags[w] |= dirtyFlag
 	}
-	c.hotIB, c.hotTB, c.hotWay, c.hotOK = ib, tb, int32(w), true
 	return Result{Hit: true}
 }
 
 // fillWay evicts way w (counting a write-back if it was dirty) and fills it
-// with block tb, memoizing the block. The caller has already counted the
-// access and advanced the tick.
-func (c *Cache) fillWay(w int, ib, tb uint64, write bool) Result {
+// with block tb. The caller has already counted the access and advanced the
+// tick.
+func (c *Cache) fillWay(w int, tb uint64, write bool) Result {
 	c.stats.Misses++
 	wb := c.tags[w]&(validFlag|dirtyFlag) == validFlag|dirtyFlag
 	if wb {
@@ -290,7 +239,6 @@ func (c *Cache) fillWay(w int, ib, tb uint64, write bool) Result {
 	}
 	c.tags[w] = e
 	c.lru[w] = c.tick
-	c.hotIB, c.hotTB, c.hotWay, c.hotOK = ib, tb, int32(w), true
 	return Result{Hit: false, WriteBack: wb}
 }
 
@@ -317,7 +265,6 @@ func (c *Cache) Flush() int {
 		c.tags[i] = 0
 		c.lru[i] = 0
 	}
-	c.hotOK = false
 	return dirty
 }
 
@@ -332,9 +279,7 @@ type State struct {
 }
 
 // Snapshot captures the cache's full state: every line (tag, valid, dirty,
-// LRU), the LRU tick and the statistics. The same-block memo is not state —
-// it is re-derived by the next access — so a restored cache behaves
-// identically to the snapshotted one from the first access on.
+// LRU), the LRU tick and the statistics.
 func (c *Cache) Snapshot() *State {
 	return &State{
 		tags:  append([]uint64(nil), c.tags...),
@@ -356,7 +301,6 @@ func (c *Cache) Restore(s *State) error {
 	copy(c.lru, s.lru)
 	c.tick = s.tick
 	c.stats = s.stats
-	c.hotOK = false
 	return nil
 }
 

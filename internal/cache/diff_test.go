@@ -7,10 +7,9 @@ import (
 // refCache is a deliberately naive array-of-structs reference model of the
 // cache: one struct per line, linear probe, linear victim search. It encodes
 // the replacement contract (hit → LRU stamp; victim = first invalid way,
-// else strictly-minimum LRU with ties to the lowest way) without any of the
-// production layout tricks — no packed tag words, no same-block memo, no
-// per-associativity fast paths — so the fuzz target below can check that the
-// struct-of-arrays Cache is a pure re-layout.
+// else strictly-minimum LRU with ties to the lowest way) without the
+// production layout trick of packed tag words, so the fuzz target below can
+// check that the struct-of-arrays Cache is a pure re-layout.
 type refLine struct {
 	valid, dirty bool
 	tag, lru     uint64
@@ -87,9 +86,9 @@ func (c *refCache) probe(indexAddr, tagAddr uint64) bool {
 	return false
 }
 
-// fuzzConfigs spans every Access dispatch path: direct-mapped, the unrolled
-// two-way, and the general loop, with and without write-back. Small caches so
-// a one-byte address stream produces conflicts, evictions and write-backs.
+// fuzzConfigs spans direct-mapped, two-way and four-way geometries, with and
+// without write-back. Small caches so a one-byte address stream produces
+// conflicts, evictions and write-backs.
 var fuzzConfigs = []Config{
 	{SizeBytes: 256, BlockBytes: 16, Assoc: 1, WriteBack: true},
 	{SizeBytes: 256, BlockBytes: 16, Assoc: 2, WriteBack: true},
@@ -112,7 +111,7 @@ func runDiff(t *testing.T, data []byte) {
 		ta := uint64(data[i+1]) * 8
 		write := data[i+2]&1 != 0
 		if data[i+2]&2 != 0 {
-			ta = ia // same-address ops keep the same-block memo exercised
+			ta = ia // same-address ops give back-to-back same-block hits
 		}
 		got := c.Access(ia, ta, write)
 		want := r.access(ia, ta, write)
@@ -141,7 +140,7 @@ func FuzzAccessMatchesReference(f *testing.F) {
 
 // TestAccessMatchesReferenceSweep is the deterministic always-on slice of the
 // fuzz target: a fixed LCG stream long enough to cycle every config through
-// hits, misses, evictions, write-backs and memo hits.
+// hits, misses, evictions and write-backs.
 func TestAccessMatchesReferenceSweep(t *testing.T) {
 	for seed := range fuzzConfigs {
 		data := make([]byte, 1+3*4096)

@@ -396,54 +396,6 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 	return true
 }
 
-// FetchTranslateRunWrong is the wrong-path analogue of FetchTranslateRun: it
-// batches n sequential wrong-path fetches of vpn, returning the frame number
-// to fetch from and whether batching was possible. It reproduces exactly what
-// n calls to FetchTranslate (or OnFetchObserved) with wrongPath=true would do
-// on their non-mutating paths: OPT walks the page table per fetch but records
-// nothing, the software schemes may consume a stale CFR frame without
-// counting it, and CFR hits and HoA comparisons count as usual. Any case that
-// would consult the iTLB returns false untouched.
-func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (uint64, bool) {
-	if e.style == cache.VIVT {
-		if e.scheme == HoA {
-			e.stats.Comparisons += n
-			if e.meter != nil {
-				e.meter.AddComparisons(n)
-			}
-		}
-		return 0, true // translation happens at iL1 misses via OnIL1Miss
-	}
-	switch e.scheme {
-	case OPT:
-		return e.space.WalkN(vpn, n), true
-	case HoA:
-		if !e.cfr.Covers(vpn) {
-			return 0, false
-		}
-		e.stats.Comparisons += n
-		if e.meter != nil {
-			e.meter.AddComparisons(n)
-		}
-	case SoCA, SoLA, IA:
-		if e.pending || !e.cfr.Valid {
-			return 0, false
-		}
-		if e.cfr.VPN != vpn {
-			// Stale use: the squash discards the fetch, and wrong-path stale
-			// uses are not counted (see FetchTranslate).
-			return e.cfr.PFN, true
-		}
-	default: // Base consults the iTLB on every fetch
-		return 0, false
-	}
-	e.stats.CFRHits += n
-	if e.meter != nil {
-		e.meter.AddCFRReads(n)
-	}
-	return e.cfr.PFN, true
-}
-
 func (e *Engine) pendingOr(c Cause) Cause {
 	if e.pending {
 		return e.pendingCause
@@ -653,8 +605,8 @@ func (e *Engine) Restore(s State) {
 	e.lookupAtPred = s.LookupAtPred
 }
 
-// LookupAtPred reports whether the last OnCTIPredicted performed an eager
-// lookup (needed by the pipeline to feed OnCTIResolved's case D).
+// TookLookupAtPred reports whether the last OnCTIPredicted performed an
+// eager lookup (needed by the pipeline to feed OnCTIResolved's case D).
 func (e *Engine) TookLookupAtPred() bool { return e.lookupAtPred }
 
 // EngineState is a deep snapshot of the engine's own state — the CFR, the
@@ -664,30 +616,18 @@ func (e *Engine) TookLookupAtPred() bool { return e.lookupAtPred }
 // is taken/restored on every predicted CTI). The iTLB, address space and
 // meter are owned by the caller and snapshotted separately.
 type EngineState struct {
-	CFR          CFR
-	Pending      bool
-	PendingCause Cause
-	LookupAtPred bool
-	Stats        Stats
+	State
+	Stats Stats
 }
 
 // Snapshot captures the engine's complete internal state.
 func (e *Engine) Snapshot() EngineState {
-	return EngineState{
-		CFR:          e.cfr,
-		Pending:      e.pending,
-		PendingCause: e.pendingCause,
-		LookupAtPred: e.lookupAtPred,
-		Stats:        e.stats,
-	}
+	return EngineState{State: e.Checkpoint(), Stats: e.stats}
 }
 
 // RestoreSnapshot overwrites the engine's state from a Snapshot. The engine
 // must have been constructed with the same scheme/style/geometry.
 func (e *Engine) RestoreSnapshot(s EngineState) {
-	e.cfr = s.CFR
-	e.pending = s.Pending
-	e.pendingCause = s.PendingCause
-	e.lookupAtPred = s.LookupAtPred
+	e.Restore(s.State)
 	e.stats = s.Stats
 }

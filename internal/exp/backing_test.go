@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,14 +186,19 @@ func TestResultCanceled(t *testing.T) {
 	r := NewRunner(200_000, 50_000)
 	opt := sim.Options{Profile: workload.Mesa(), Scheme: core.Base, Style: cache.VIPT}
 	started := make(chan struct{})
+	owner := make(chan error, 1)
 	go func() {
 		close(started)
-		r.Get(opt) // owner; runs to completion
+		_, err := r.Result(context.Background(), opt) // owner; runs to completion
+		owner <- err
 	}()
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := r.Result(ctx, opt)
+	if oerr := <-owner; oerr != nil {
+		t.Errorf("owner: %v", oerr)
+	}
 	if err == nil {
 		// The owner may already have finished on a fast machine; only a
 		// memo hit justifies nil here.
@@ -200,5 +207,71 @@ func TestResultCanceled(t *testing.T) {
 		}
 	} else if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want deadline exceeded", err)
+	}
+}
+
+// blockingBacking is a Backing that misses every Get; its first Get closes
+// entered and then blocks until release is closed.
+type blockingBacking struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBacking) Get(string) (sim.Result, bool) {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+	return sim.Result{}, false
+}
+
+func (b *blockingBacking) Put(string, sim.Result) error { return nil }
+
+// TestBatchRetriesOtherCallersFailure: a Batch waiting on an entry that
+// another caller owns, and then settles with its own context's error, must
+// re-claim the configuration and return the result, not the other caller's
+// error.
+func TestBatchRetriesOtherCallersFailure(t *testing.T) {
+	bk := &blockingBacking{entered: make(chan struct{}), release: make(chan struct{})}
+	r := NewRunner(20_000, 5_000)
+	r.Backing = bk
+	opt := sim.Options{Profile: workload.Mesa(), Scheme: core.Base, Style: cache.VIPT}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	owner := make(chan error, 1)
+	go func() {
+		_, err := r.Result(ctxA, opt)
+		owner <- err
+	}()
+	<-bk.entered // the owner holds the claim and is inside Backing.Get
+	cancelA()
+
+	type batchOut struct {
+		results []sim.Result
+		errs    []error
+	}
+	done := make(chan batchOut, 1)
+	go func() {
+		results, errs := r.Batch(context.Background(), []sim.Options{opt})
+		done <- batchOut{results, errs}
+	}()
+	for r.Stats().Coalesced != 1 { // the Batch is waiting on the owner's entry
+		runtime.Gosched()
+	}
+	close(bk.release)
+
+	if err := <-owner; !errors.Is(err, context.Canceled) {
+		t.Errorf("owner: err = %v, want context.Canceled", err)
+	}
+	got := <-done
+	if got.errs[0] != nil {
+		t.Fatalf("Batch returned %v, want the result", got.errs[0])
+	}
+	if got.results[0].Committed == 0 {
+		t.Error("Batch returned an empty result")
+	}
+	if r.Runs() != 1 {
+		t.Errorf("Runs() = %d, want 1", r.Runs())
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Each experiment is a declarative Spec — the Axes blocks that enumerate its
 // simulation cell set plus a row formatter — so the whole cell set is known
-// up front and prefetches in parallel through sim.Batch. A Runner memoizes
+// up front and runs as one parallel Runner.Batch. A Runner memoizes
 // simulations so tables sharing configurations (most of them) do not
 // re-simulate; it is safe for concurrent use and coalesces duplicate
 // in-flight work. Because every simulation seeds its own RNG, a parallel

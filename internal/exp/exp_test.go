@@ -17,6 +17,16 @@ import (
 
 func testRunner() *Runner { return NewRunner(60_000, 20_000) }
 
+// result is Runner.Result with the error checked.
+func result(t *testing.T, r *Runner, opt sim.Options) sim.Result {
+	t.Helper()
+	res, err := r.Result(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // generate is Spec.Generate with the error checked.
 func generate(t *testing.T, s Spec, r *Runner) Table {
 	t.Helper()
@@ -117,22 +127,22 @@ func TestZeroValueRunner(t *testing.T) {
 		Profile: workload.Mesa(), Scheme: core.Base, Style: cache.VIPT,
 		Instructions: 5_000, Warmup: 1,
 	}
-	res := r.Get(opt)
+	res := result(t, &r, opt)
 	if res.Committed == 0 {
 		t.Error("zero-value Runner returned an empty result")
 	}
 	if r.Runs() != 1 {
 		t.Errorf("Runs() = %d, want 1", r.Runs())
 	}
-	r.Get(opt)
+	result(t, &r, opt)
 	if r.Runs() != 1 {
 		t.Error("zero-value Runner did not memoize")
 	}
 }
 
-// TestGetCoalesces checks that concurrent Gets for the same configuration
-// share one simulation instead of racing to run it N times.
-func TestGetCoalesces(t *testing.T) {
+// TestResultCoalesces checks that concurrent Results for the same
+// configuration share one simulation instead of racing to run it N times.
+func TestResultCoalesces(t *testing.T) {
 	r := NewRunner(20_000, 5_000)
 	opt := sim.Options{Profile: workload.Mesa(), Scheme: core.Base, Style: cache.VIPT}
 	var wg sync.WaitGroup
@@ -141,12 +151,15 @@ func TestGetCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = r.Get(opt)
+			var err error
+			if results[i], err = r.Result(context.Background(), opt); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
 	if r.Runs() != 1 {
-		t.Errorf("8 concurrent Gets ran %d simulations, want 1", r.Runs())
+		t.Errorf("8 concurrent Results ran %d simulations, want 1", r.Runs())
 	}
 	for i, res := range results {
 		if res.Cycles != results[0].Cycles {
@@ -184,9 +197,9 @@ func TestPrefetchCanceled(t *testing.T) {
 	if r.Runs() != 0 {
 		t.Errorf("canceled Prefetch executed %d simulations", r.Runs())
 	}
-	// The claim must have been released: a fresh Get re-runs serially.
-	if res := r.Get(opt); res.Committed == 0 {
-		t.Error("Get after canceled Prefetch returned an empty result")
+	// The claim must have been released: a fresh Result re-runs serially.
+	if res := result(t, r, opt); res.Committed == 0 {
+		t.Error("Result after canceled Prefetch returned an empty result")
 	}
 }
 
@@ -216,21 +229,37 @@ func TestByID(t *testing.T) {
 }
 
 func TestSpecCellsCoverRows(t *testing.T) {
-	// Every spec's Rows must only consume simulations its Axes declared:
-	// after a prefetch, formatting must not add runs.
+	// Every spec's Rows must only read cells its Axes declare; Generate
+	// fails on any other read.
 	r := NewRunner(20_000, 5_000)
-	ctx := context.Background()
 	for _, s := range Specs() {
-		if err := r.Prefetch(ctx, s.Cells()); err != nil {
-			t.Fatalf("%s: prefetch: %v", s.ID, err)
+		if _, err := s.Generate(context.Background(), r); err != nil {
+			t.Errorf("%s: %v", s.ID, err)
 		}
-		n := r.Runs()
-		if _, err := s.Generate(ctx, r); err != nil {
-			t.Fatalf("%s: generate: %v", s.ID, err)
-		}
-		if r.Runs() != n {
-			t.Errorf("%s: Rows ran %d simulations not declared in Axes", s.ID, r.Runs()-n)
-		}
+	}
+}
+
+// TestGenerateRejectsUndeclaredCell: a Rows read of a cell outside the
+// spec's Axes fails Generate with an error naming the cell, and runs no
+// simulation for it.
+func TestGenerateRejectsUndeclaredCell(t *testing.T) {
+	r := NewRunner(20_000, 5_000)
+	declared := sim.Options{Profile: workload.Mesa(), Scheme: core.Base, Style: cache.VIPT}
+	undeclared := declared
+	undeclared.Scheme = core.IA
+	spec := Spec{
+		ID:   "Undeclared",
+		Axes: []Axes{{Profiles: []workload.Profile{workload.Mesa()}}},
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
+			return [][]string{{pct(get(undeclared).EnergyMJ / get(declared).EnergyMJ)}}
+		},
+	}
+	_, err := spec.Generate(context.Background(), r)
+	if err == nil || !strings.Contains(err.Error(), "mesa IA VI-PT") {
+		t.Fatalf("Generate = %v, want an error naming the undeclared cell mesa IA VI-PT", err)
+	}
+	if r.Runs() != 1 {
+		t.Errorf("Generate ran %d simulations, want 1 (the declared cell only)", r.Runs())
 	}
 }
 

@@ -26,15 +26,15 @@ func Figure4Spec() Spec {
 			Schemes: append([]core.Scheme{core.Base}, figureSchemes...),
 			Styles:  []cache.Style{cache.VIPT, cache.VIVT},
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, style := range []cache.Style{cache.VIPT, cache.VIVT} {
 				sums := map[core.Scheme]float64{}
 				for _, p := range workload.Profiles() {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: style})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: style})
 					row := []string{style.String(), p.Name}
 					for _, sch := range figureSchemes {
-						res := r.Get(sim.Options{Profile: p, Scheme: sch, Style: style})
+						res := get(sim.Options{Profile: p, Scheme: sch, Style: style})
 						n := res.EnergyMJ / base.EnergyMJ
 						sums[sch] += n
 						row = append(row, pct(n))
@@ -62,14 +62,14 @@ func Figure5Spec() Spec {
 			Schemes: append([]core.Scheme{core.Base}, figureSchemes...),
 			Styles:  []cache.Style{cache.VIVT},
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			sums := map[core.Scheme]float64{}
 			for _, p := range workload.Profiles() {
-				base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
+				base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
 				row := []string{p.Name}
 				for _, sch := range figureSchemes {
-					res := r.Get(sim.Options{Profile: p, Scheme: sch, Style: cache.VIVT})
+					res := get(sim.Options{Profile: p, Scheme: sch, Style: cache.VIVT})
 					n := float64(res.Cycles) / float64(base.Cycles)
 					sums[sch] += n
 					row = append(row, pct(n))
@@ -124,12 +124,12 @@ func Figure6Spec() Spec {
 			{Schemes: []core.Scheme{core.Base}, ITLBs: two},
 			{Schemes: []core.Scheme{core.IA}, ITLBs: mono},
 		},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, c := range cases {
 				for _, p := range workload.Profiles() {
-					two := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, ITLB: c.twoLevel})
-					mono := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: c.mono})
+					two := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, ITLB: c.twoLevel})
+					mono := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: c.mono})
 					rows = append(rows, []string{
 						c.name, p.Name,
 						uJ(two.EnergyMJ), uJ(mono.EnergyMJ),

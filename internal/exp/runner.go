@@ -22,7 +22,7 @@ type Backing interface {
 // Runner memoizes simulations so tables sharing configurations (most of
 // them) do not re-simulate. It is safe for concurrent use: concurrent
 // lookups with equal options coalesce onto a single in-flight simulation,
-// and Prefetch warms the memo in parallel through sim.Batch. Configurations
+// and Batch runs misses in parallel through sim.Batch. Configurations
 // are keyed by store.Key — the same canonical encoding the disk store and
 // the HTTP API use — so attaching a Backing makes results durable across
 // processes for free. The zero value is ready to use and runs at the
@@ -254,172 +254,134 @@ func (r *Runner) observeRun(res sim.Result) {
 }
 
 // Result returns the memoized result for the options, consulting the
-// backing store and simulating on first use. Concurrent calls with equal
-// options share one simulation. A canceled ctx abandons the wait (an owner
-// already simulating runs to completion and still settles the memo for
-// others); the owner itself checks ctx only before starting.
+// backing store and simulating on first use. It is Batch for one option.
 func (r *Runner) Result(ctx context.Context, opt sim.Options) (sim.Result, error) {
-	opt = r.normalize(opt)
-	key := store.Key(opt)
-	for {
-		e, owner := r.claim(key)
-		if !owner {
-			select {
-			case <-e.done:
-				if e.err == nil {
-					return e.res, nil
-				}
-				// The owning call failed or was canceled before running;
-				// its entry has been removed, so retry (likely becoming
-				// the owner).
+	results, errs := r.Batch(ctx, []sim.Options{opt})
+	return results[0], errs[0]
+}
+
+// Prefetch warms the memo for every option: it is Batch with the results
+// dropped. It returns the first error in input order.
+func (r *Runner) Prefetch(ctx context.Context, opts []sim.Options) error {
+	_, errs := r.Batch(ctx, opts)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Batch runs every option through the memo and backing store and returns
+// results and errors aligned with opts (errs[i] == nil means results[i] is
+// valid). It is the Runner's one lookup path, behind Result, Prefetch and
+// Spec.Generate; see lookup.
+func (r *Runner) Batch(ctx context.Context, opts []sim.Options) ([]sim.Result, []error) {
+	results, errs, _ := r.lookup(ctx, opts)
+	return results, errs
+}
+
+// lookup is Batch that also returns each option's key. Every option is
+// normalized and keyed, and each distinct key is claimed once: a repeat
+// within the call shares its first occurrence's entry and counts no memo
+// hit, and a key cached or in flight elsewhere coalesces onto that entry.
+// Owned misses are served from the backing store or simulated (see run),
+// then settled.
+//
+// Waiting on an entry another caller owns respects ctx: an owner already
+// simulating runs to completion and still settles the memo for others, and
+// an owner checks ctx only before it starts. If that other caller settles
+// the entry with an error, for instance because its own context was
+// canceled, the key is claimed again; errors of entries this call owned are
+// final.
+func (r *Runner) lookup(ctx context.Context, opts []sim.Options) ([]sim.Result, []error, []string) {
+	results := make([]sim.Result, len(opts))
+	errs := make([]error, len(opts))
+	keys := make([]string, len(opts))
+	pending := make([]int, len(opts))
+	for i, o := range opts {
+		keys[i] = r.Key(o)
+		pending[i] = i
+	}
+	type claimed struct {
+		e     *memoEntry
+		owner bool
+	}
+	for len(pending) > 0 {
+		entries := make(map[string]claimed, len(pending))
+		var (
+			jobs       []sim.Options
+			jobKeys    []string
+			jobEntries []*memoEntry
+		)
+		for _, i := range pending {
+			k := keys[i]
+			if _, dup := entries[k]; dup {
 				continue
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
 			}
+			e, owner := r.claim(k)
+			entries[k] = claimed{e, owner}
+			if !owner {
+				continue
+			}
+			if res, ok := r.fromBacking(k); ok {
+				r.settle(k, e, res, nil, false)
+				continue
+			}
+			jobs = append(jobs, r.normalize(opts[i]))
+			jobKeys = append(jobKeys, k)
+			jobEntries = append(jobEntries, e)
 		}
-		if res, ok := r.fromBacking(key); ok {
-			r.settle(key, e, res, nil, false)
-			return res, nil
+		r.run(ctx, jobs, jobKeys, jobEntries)
+
+		var retry []int
+		for _, i := range pending {
+			c := entries[keys[i]]
+			if !c.owner && !c.e.settled() {
+				select {
+				case <-c.e.done:
+				case <-ctx.Done():
+					errs[i] = ctx.Err()
+					continue
+				}
+			}
+			if c.e.err != nil && !c.owner {
+				retry = append(retry, i)
+				continue
+			}
+			results[i], errs[i] = c.e.res, c.e.err
 		}
-		if err := ctx.Err(); err != nil {
-			r.settle(key, e, sim.Result{}, err, false)
-			return sim.Result{}, err
-		}
-		res, err := sim.RunWith(opt, r.pool())
+		pending = retry
+	}
+	return results, errs, keys
+}
+
+// run simulates owned misses and settles their entries. A single miss runs
+// inline on the caller's goroutine, since a prewarm pass would build it
+// twice; several run through sim.Batch over the worker and warm-state pools.
+// A job that never starts because ctx is done settles with ctx's error.
+func (r *Runner) run(ctx context.Context, jobs []sim.Options, keys []string, entries []*memoEntry) {
+	finish := func(j int, res sim.Result, err error) {
 		if err == nil {
 			r.observeRun(res)
 		}
-		r.settle(key, e, res, err, err == nil)
+		r.settle(keys[j], entries[j], res, err, err == nil)
 		if err == nil {
-			r.toBacking(key, res)
-		}
-		return res, err
-	}
-}
-
-// Get is Result without a context, for the table generators (which only use
-// known-good options): it panics if the simulation itself fails.
-func (r *Runner) Get(opt sim.Options) sim.Result {
-	res, err := r.Result(context.Background(), opt)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// Prefetch warms the memo for every option, serving what it can from the
-// backing store and executing the rest in parallel through sim.Batch
-// bounded by r.Workers. Options already cached or in flight are skipped
-// (their owner finishes them). It returns the first simulation or context
-// error; on cancellation the unfinished entries are released so later
-// lookups re-run them.
-func (r *Runner) Prefetch(ctx context.Context, opts []sim.Options) error {
-	var (
-		jobs    []sim.Options
-		keys    []string
-		entries []*memoEntry
-	)
-	seen := make(map[string]bool, len(opts))
-	for _, o := range opts {
-		o = r.normalize(o)
-		k := store.Key(o)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		e, owner := r.claim(k)
-		if !owner {
-			continue
-		}
-		if res, ok := r.fromBacking(k); ok {
-			r.settle(k, e, res, nil, false)
-			continue
-		}
-		jobs = append(jobs, o)
-		keys = append(keys, k)
-		entries = append(entries, e)
-	}
-	if len(jobs) == 0 {
-		return ctx.Err()
-	}
-	var firstErr error
-	sim.Batch(ctx, jobs, sim.BatchOptions{
-		Workers: r.Workers,
-		Pool:    r.pool(),
-		Prewarm: true,
-		OnComplete: func(i int, res sim.Result, err error) {
-			if err == nil {
-				r.observeRun(res)
-			}
-			r.settle(keys[i], entries[i], res, err, err == nil)
-			if err == nil {
-				r.toBacking(keys[i], res)
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		},
-	})
-	return firstErr
-}
-
-// Batch runs every option through the memo and backing store, executing the
-// misses over a bounded worker pool, and returns results and errors aligned
-// with opts (errs[i] == nil means results[i] is valid). Unlike sim.Batch it
-// coalesces duplicate configurations — within the batch and against
-// anything already cached or in flight. On cancellation, jobs that never
-// ran report ctx's error.
-func (r *Runner) Batch(ctx context.Context, opts []sim.Options) ([]sim.Result, []error) {
-	results := make([]sim.Result, len(opts))
-	errs := make([]error, len(opts))
-	entries := make([]*memoEntry, len(opts))
-
-	var (
-		jobs       []sim.Options
-		jobKeys    []string
-		jobEntries []*memoEntry
-	)
-	for i, o := range opts {
-		o = r.normalize(o)
-		k := store.Key(o)
-		e, owner := r.claim(k)
-		entries[i] = e
-		if !owner {
-			continue
-		}
-		if res, ok := r.fromBacking(k); ok {
-			r.settle(k, e, res, nil, false)
-			continue
-		}
-		jobs = append(jobs, o)
-		jobKeys = append(jobKeys, k)
-		jobEntries = append(jobEntries, e)
-	}
-	if len(jobs) > 0 {
-		sim.Batch(ctx, jobs, sim.BatchOptions{
-			Workers: r.Workers,
-			Pool:    r.pool(),
-			Prewarm: true,
-			OnComplete: func(j int, res sim.Result, err error) {
-				if err == nil {
-					r.observeRun(res)
-				}
-				r.settle(jobKeys[j], jobEntries[j], res, err, err == nil)
-				if err == nil {
-					r.toBacking(jobKeys[j], res)
-				}
-			},
-		})
-	}
-	for i, e := range entries {
-		select {
-		case <-e.done:
-			results[i], errs[i] = e.res, e.err
-		case <-ctx.Done():
-			// Owned by a concurrent caller that has not settled yet.
-			errs[i] = ctx.Err()
+			r.toBacking(keys[j], res)
 		}
 	}
-	return results, errs
+	switch len(jobs) {
+	case 0:
+	case 1:
+		if err := ctx.Err(); err != nil {
+			finish(0, sim.Result{}, err)
+			return
+		}
+		res, err := sim.RunWith(jobs[0], r.pool())
+		finish(0, res, err)
+	default:
+		sim.Batch(ctx, jobs, sim.BatchOptions{Workers: r.Workers, Pool: r.pool(), OnComplete: finish})
+	}
 }
 
 // Runs reports how many distinct simulations have executed successfully.

@@ -87,8 +87,8 @@ func (a Axes) Enumerate() []sim.Options {
 
 // Spec declares one table or figure: identification, the simulations it
 // needs (as Axes blocks whose union is the cell set, enumerated up front so
-// the whole table can prefetch in parallel), and a row formatter that runs
-// once the memo is warm.
+// the whole table runs as one parallel batch), and a row formatter that
+// reads the batch's results.
 type Spec struct {
 	ID      string
 	Title   string
@@ -99,9 +99,9 @@ type Spec struct {
 	// set. Empty for static tables that need no simulation.
 	Axes []Axes
 
-	// Rows formats the table body; every r.Get it performs hits the memo
-	// warmed by the prefetch of Axes.
-	Rows func(r *Runner) [][]string
+	// Rows formats the table body. get returns the result of one cell the
+	// Axes declare; reading any other cell makes Generate fail.
+	Rows func(get func(sim.Options) sim.Result) [][]string
 }
 
 // Cells enumerates every simulation the spec needs.
@@ -113,19 +113,46 @@ func (s Spec) Cells() []sim.Options {
 	return out
 }
 
-// Generate prefetches the spec's cells in parallel (bounded by r.Workers)
+// Generate runs the spec's cells as one batch (bounded by r.Workers)
 // and formats the table. The rendered output is deterministic: rows are
-// formatted serially from memoized results, so parallel and serial
-// prefetches produce byte-identical tables.
+// formatted serially from the batch's results, so parallel and serial runs
+// produce byte-identical tables. A static spec (no Axes) needs no Runner.
 func (s Spec) Generate(ctx context.Context, r *Runner) (Table, error) {
-	if cells := s.Cells(); len(cells) > 0 {
-		if err := r.Prefetch(ctx, cells); err != nil {
-			return Table{}, fmt.Errorf("exp: %s: %w", s.ID, err)
+	cells := s.Cells()
+	var results []sim.Result
+	index := make(map[string]int, len(cells))
+	if len(cells) > 0 {
+		res, errs, keys := r.lookup(ctx, cells)
+		for i, k := range keys {
+			if errs[i] != nil {
+				return Table{}, fmt.Errorf("exp: %s: %w", s.ID, errs[i])
+			}
+			index[k] = i
 		}
+		results = res
 	}
 	t := Table{ID: s.ID, Title: s.Title, Columns: s.Columns, Notes: s.Notes}
-	if s.Rows != nil {
-		t.Rows = s.Rows(r)
+	if s.Rows == nil {
+		return t, nil
+	}
+	var undeclared error
+	t.Rows = s.Rows(func(opt sim.Options) sim.Result {
+		key := ""
+		if r != nil {
+			key = r.Key(opt)
+		}
+		i, ok := index[key]
+		if !ok {
+			if undeclared == nil {
+				undeclared = fmt.Errorf("exp: %s: Rows read a cell its Axes do not declare: %s %s %s (key %s)",
+					s.ID, opt.BenchName(), opt.Scheme, opt.Style, key)
+			}
+			return sim.Result{}
+		}
+		return results[i]
+	})
+	if undeclared != nil {
+		return Table{}, undeclared
 	}
 	return t, nil
 }

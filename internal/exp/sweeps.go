@@ -24,13 +24,13 @@ func PageSizeSweepSpec() Spec {
 			Schemes:   []core.Scheme{core.Base, core.IA},
 			PageBytes: pages,
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, pb := range pages {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, PageBytes: pb})
-					ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, PageBytes: pb})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, PageBytes: pb})
+					ia := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, PageBytes: pb})
 					row = append(row, fmt.Sprintf("%d (%s)", ia.Engine.Lookups, pct(ia.EnergyMJ/base.EnergyMJ)))
 				}
 				rows = append(rows, row)
@@ -66,13 +66,13 @@ func IL1SweepSpec() Spec {
 			Styles:    []cache.Style{cache.VIVT},
 			Pipelines: pipes,
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, pcfg := range pipes {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT, Pipeline: pcfg})
-					ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIVT, Pipeline: pcfg})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT, Pipeline: pcfg})
+					ia := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIVT, Pipeline: pcfg})
 					row = append(row, fmt.Sprintf("%.2f%% (miss %s)",
 						100*(1-float64(ia.Cycles)/float64(base.Cycles)), f3(base.IL1MissRate())))
 				}
@@ -96,10 +96,10 @@ func DataCFRSweepSpec() Spec {
 			"a single data-page register already removes most dTLB lookups — the data-reference analogue of the paper's instruction-side claim",
 		},
 		Axes: []Axes{{Pipelines: []*pipeline.Config{&pcfg}}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
-				res := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Pipeline: &pcfg})
+				res := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Pipeline: &pcfg})
 				total := res.DCFRHits + res.DCFRLookups
 				if total == 0 {
 					total = 1
@@ -140,7 +140,7 @@ func ContextSwitchSweepSpec() Spec {
 			Schemes:   []core.Scheme{core.Base, core.IA},
 			Pipelines: pipes,
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for i, every := range intervals {
 				label := "none"
@@ -148,8 +148,8 @@ func ContextSwitchSweepSpec() Spec {
 					label = fmt.Sprintf("every %dK", every/1000)
 				}
 				for _, p := range subset {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Pipeline: pipes[i]})
-					ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, Pipeline: pipes[i]})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Pipeline: pipes[i]})
+					ia := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, Pipeline: pipes[i]})
 					rows = append(rows, []string{
 						label, p.Name,
 						fmt.Sprintf("%d", base.ITLB.Walks),
@@ -186,13 +186,13 @@ func TechSweepSpec() Spec {
 			Schemes: []core.Scheme{core.Base, core.IA},
 			Techs:   techs,
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, tc := range techs {
-					base := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Tech: tc})
-					ia := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, Tech: tc})
+					base := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT, Tech: tc})
+					ia := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, Tech: tc})
 					row = append(row, f3(base.EnergyMJ), f3(ia.EnergyMJ))
 				}
 				rows = append(rows, row)

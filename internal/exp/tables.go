@@ -18,7 +18,7 @@ func Table1Spec() Spec {
 		ID:      "Table 1",
 		Title:   "Default configuration parameters",
 		Columns: []string{"Parameter", "Value"},
-		Rows: func(*Runner) [][]string {
+		Rows: func(func(sim.Options) sim.Result) [][]string {
 			p := sim.DefaultPipeline()
 			return [][]string{
 				{"RUU Size", fmt.Sprintf("%d instructions", p.RUUSize)},
@@ -61,11 +61,11 @@ func Table2Spec() Spec {
 			"VI-VT base energy counts one iTLB access per fetch-side iL1 miss; the paper's VI-VT base accounting is several times higher (see EXPERIMENTS.md)",
 		},
 		Axes: []Axes{{Styles: []cache.Style{cache.VIPT, cache.VIVT}}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
-				vipt := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
-				vivt := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
+				vipt := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
+				vivt := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
 				cross := vipt.CrossBoundary + vipt.CrossBranch
 				bPct, brPct := "-", "-"
 				if cross > 0 {
@@ -98,12 +98,12 @@ func Table3Spec() Spec {
 		Columns: []string{"Benchmark", "SoCA BOUNDARY", "SoCA BRANCH", "SoLA BOUNDARY",
 			"SoLA BRANCH", "IA BOUNDARY", "IA BRANCH"},
 		Axes: []Axes{{Schemes: schemes}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, sch := range schemes {
-					res := r.Get(sim.Options{Profile: p, Scheme: sch, Style: cache.VIPT})
+					res := get(sim.Options{Profile: p, Scheme: sch, Style: cache.VIPT})
 					tot := res.Engine.LookupsBoundary + res.Engine.LookupsBranch
 					if tot == 0 {
 						tot = 1
@@ -132,12 +132,12 @@ func Table4Spec() Spec {
 		Columns: []string{"Benchmark", "St.Total", "St.Analyzable", "St.Crossing", "St.InPage",
 			"Dy.Total", "Dy.Analyzable", "Dy.Crossing", "Dy.InPage"},
 		Axes: []Axes{{Schemes: []core.Scheme{core.SoLA}}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				img := workload.MustGenerate(p)
 				_, st := compiler.MustCompile(img, compiler.Options{InsertBoundaryStubs: true})
-				dyn := r.Get(sim.Options{Profile: p, Scheme: core.SoLA, Style: cache.VIPT})
+				dyn := get(sim.Options{Profile: p, Scheme: core.SoLA, Style: cache.VIPT})
 				rows = append(rows, []string{
 					p.Name,
 					fmt.Sprintf("%d", st.TotalSites),
@@ -170,10 +170,10 @@ func Table5Spec() Spec {
 		Title:   "Branch predictor accuracy",
 		Columns: cols,
 		Axes:    []Axes{{}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			row := make([]string, 0, len(profiles))
 			for _, p := range profiles {
-				res := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
+				res := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
 				row = append(row, pct(res.Bpred.Accuracy()))
 			}
 			return [][]string{row}
@@ -222,15 +222,15 @@ func Table6Spec() Spec {
 			Styles:  []cache.Style{cache.VIPT, cache.VIVT},
 			ITLBs:   itlbSweepConfigs(),
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, it := range ITLBSweep() {
 				for _, p := range workload.Profiles() {
-					get := func(sch core.Scheme, style cache.Style) sim.Result {
-						return r.Get(sim.Options{Profile: p, Scheme: sch, Style: style, ITLB: it.Cfg})
+					cell := func(sch core.Scheme, style cache.Style) sim.Result {
+						return get(sim.Options{Profile: p, Scheme: sch, Style: style, ITLB: it.Cfg})
 					}
-					bPT, oPT, iPT := get(core.Base, cache.VIPT), get(core.OPT, cache.VIPT), get(core.IA, cache.VIPT)
-					bVT, oVT, iVT := get(core.Base, cache.VIVT), get(core.OPT, cache.VIVT), get(core.IA, cache.VIVT)
+					bPT, oPT, iPT := cell(core.Base, cache.VIPT), cell(core.OPT, cache.VIPT), cell(core.IA, cache.VIPT)
+					bVT, oVT, iVT := cell(core.Base, cache.VIVT), cell(core.OPT, cache.VIVT), cell(core.IA, cache.VIVT)
 					norm := func(v, base float64) string {
 						if base == 0 {
 							return "-"
@@ -267,12 +267,12 @@ func Table7Spec() Spec {
 			Schemes: []core.Scheme{core.IA},
 			ITLBs:   itlbSweepConfigs(),
 		}},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
 				row := []string{p.Name}
 				for _, it := range ITLBSweep() {
-					res := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: it.Cfg})
+					res := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.VIPT, ITLB: it.Cfg})
 					row = append(row, kcycles(res.Cycles))
 				}
 				rows = append(rows, row)
@@ -294,13 +294,13 @@ func Table8Spec() Spec {
 			{Schemes: []core.Scheme{core.Base, core.IA}, Styles: []cache.Style{cache.PIPT}},
 			{Styles: []cache.Style{cache.VIPT, cache.VIVT}},
 		},
-		Rows: func(r *Runner) [][]string {
+		Rows: func(get func(sim.Options) sim.Result) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
-				pB := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.PIPT})
-				pIA := r.Get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.PIPT})
-				vPT := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
-				vVT := r.Get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
+				pB := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.PIPT})
+				pIA := get(sim.Options{Profile: p, Scheme: core.IA, Style: cache.PIPT})
+				vPT := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIPT})
+				vVT := get(sim.Options{Profile: p, Scheme: core.Base, Style: cache.VIVT})
 				rows = append(rows, []string{
 					p.Name,
 					uJ(pB.EnergyMJ), kcycles(pB.Cycles),

@@ -600,7 +600,7 @@ func (m *Machine) bulkGroups() bool {
 				s := &stepBuf[i+g+k]
 				if blk := uint64(s.PC) >> blockShift; !m.haveBlock || blk != m.lastBlock {
 					m.lastBlock, m.haveBlock = blk, true
-					groupStall += m.bulkBlockFill(s.PC, cfrPFN, false)
+					groupStall += m.bulkBlockFill(s.PC, cfrPFN)
 				}
 				// The first instruction after a redirect carries
 				// sequential=false into its (possible) VI-VT miss
@@ -627,7 +627,7 @@ func (m *Machine) bulkGroups() bool {
 // bulkBlockFill charges one iL1 block probe (and any L2/DRAM fill) on the
 // bulk path. Eager styles already hold the translation (pfn); the lazy style
 // translates at the miss through the ordinary OnIL1Miss event.
-func (m *Machine) bulkBlockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
+func (m *Machine) bulkBlockFill(pc addr.VAddr, pfn uint64) int {
 	if m.eager {
 		pa := m.geom.Translate(pfn, pc)
 		idx := uint64(pc)
@@ -646,7 +646,7 @@ func (m *Machine) bulkBlockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
 	if r := m.il1.Access(uint64(pc), uint64(pc), false); r.Hit {
 		return 0
 	}
-	out := m.engine.OnIL1Miss(pc, m.sequential, wrong)
+	out := m.engine.OnIL1Miss(pc, m.sequential, false)
 	stall := out.StallCycles + m.l2Latency
 	if lr := physAccess(m.l2, out.PFN, false); !lr.Hit {
 		stall += m.dramLatency
@@ -666,10 +666,6 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 	m.sequential = false
 	m.haveBlock = false
 	for m.frontCycle < deadline {
-		if n := m.wrongBulkGroup(wp); n > 0 {
-			wp += addr.VAddr(n) * addr.InstBytes
-			continue
-		}
 		groupStall := 0
 		for slot := 0; slot < m.cfg.FetchWidth; slot++ {
 			in := m.img.At(wp)
@@ -692,46 +688,6 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 		}
 		m.frontCycle += uint64(1 + groupStall)
 	}
-}
-
-// wrongBulkGroup retires one whole wrong-path fetch group on the fast path:
-// FetchWidth sequential non-CTI instructions inside one page, with the
-// per-fetch engine work batched by FetchTranslateRunWrong. It mirrors one
-// iteration of runWrongPath's scalar loop exactly — counters, cache and
-// CFR/iTLB state, stall charges — and returns 0 (having changed nothing)
-// when the group is not plain or the engine cannot batch it.
-func (m *Machine) wrongBulkGroup(wp addr.VAddr) int {
-	w := m.cfg.FetchWidth
-	vpn := m.geom.VPN(wp)
-	if m.geom.VPN(wp+addr.VAddr(w-1)*addr.InstBytes) != vpn {
-		return 0
-	}
-	for k := 0; k < w; k++ {
-		// Stubs are Jumps, so Plain here is exactly the scalar loop's
-		// IsCTI test.
-		if !m.img.At(wp + addr.VAddr(k)*addr.InstBytes).Plain {
-			return 0
-		}
-	}
-	pfn, ok := m.engine.FetchTranslateRunWrong(vpn, uint64(w))
-	if !ok {
-		return 0
-	}
-	groupStall := 0
-	pc := wp
-	for k := 0; k < w; k++ {
-		if blk := uint64(pc) >> m.il1BlockShift; !m.haveBlock || blk != m.lastBlock {
-			m.lastBlock, m.haveBlock = blk, true
-			groupStall += m.bulkBlockFill(pc, pfn, true)
-		}
-		// Match the scalar loop's attribution: only the group's first
-		// instruction can carry sequential=false into a VI-VT miss.
-		m.sequential = true
-		pc += addr.InstBytes
-	}
-	m.res.WrongPathFetches += uint64(w)
-	m.frontCycle += uint64(1 + groupStall)
-	return w
 }
 
 // accountCommit charges the back end for one committed instruction and

@@ -21,14 +21,11 @@ type BatchOptions struct {
 
 	// Pool, when non-nil, shares warm-up work across the batch: jobs with
 	// equal warm keys execute one warm-up and fork its snapshot (see
-	// WarmPool). Results are byte-identical with or without it.
-	Pool *WarmPool
-
-	// Prewarm, when set (and Pool is non-nil), warms every distinct warm key
-	// in the batch up front over the same worker pool before any simulation
-	// starts (see WarmPool.Prewarm), so workers are never serialized behind
+	// WarmPool). Batch first warms every distinct warm key over the same
+	// worker pool (WarmPool.Prewarm), so workers are never serialized behind
 	// one single-flight warm-up owner when same-key jobs cluster together.
-	Prewarm bool
+	// Results are byte-identical with or without a pool.
+	Pool *WarmPool
 }
 
 // Batch runs every job over a bounded worker pool and returns results and
@@ -40,7 +37,7 @@ type BatchOptions struct {
 func Batch(ctx context.Context, jobs []Options, opts BatchOptions) ([]Result, []error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	if opts.Pool != nil && opts.Prewarm {
+	if opts.Pool != nil {
 		opts.Pool.Prewarm(ctx, jobs, opts.Workers)
 	}
 	runBatch(ctx, len(jobs), opts.Workers, func(i int) error {

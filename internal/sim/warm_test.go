@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"itlbcfr/internal/core"
@@ -146,9 +147,10 @@ func TestWarmTechForkScalesEnergyOnly(t *testing.T) {
 	}
 }
 
-// TestBatchSharesPool checks the Batch integration: jobs with one warm key
-// run one warm-up between them, concurrently, and still match the
-// unpooled results.
+// TestBatchSharesPool checks the pool's single-flight warm-up under
+// concurrency: RunWith called from several goroutines at once with one warm
+// key runs one warm-up between them (the others wait for it and fork), and
+// every result still matches the unpooled one.
 func TestBatchSharesPool(t *testing.T) {
 	base := warmTestOptions(t, core.IA)
 	jobs := make([]Options, 4)
@@ -157,7 +159,17 @@ func TestBatchSharesPool(t *testing.T) {
 		jobs[i].Instructions = uint64(10_000 + 2_000*i)
 	}
 	pool := NewWarmPool()
-	pooled, errsP := Batch(context.Background(), jobs, BatchOptions{Workers: 4, Pool: pool})
+	pooled := make([]Result, len(jobs))
+	errsP := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pooled[i], errsP[i] = RunWith(jobs[i], pool)
+		}(i)
+	}
+	wg.Wait()
 	plain, errs := Batch(context.Background(), jobs, BatchOptions{Workers: 4})
 	for i := range jobs {
 		if errsP[i] != nil || errs[i] != nil {
@@ -199,7 +211,7 @@ func TestPrewarmWarmsEachKeyOnce(t *testing.T) {
 	}
 
 	pooled, errsP := Batch(context.Background(), jobs,
-		BatchOptions{Workers: 4, Pool: pool, Prewarm: true})
+		BatchOptions{Workers: 4, Pool: pool})
 	plain, errs := Batch(context.Background(), jobs, BatchOptions{Workers: 4})
 	for i := range jobs {
 		if errsP[i] != nil || errs[i] != nil {

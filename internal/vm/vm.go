@@ -95,15 +95,6 @@ func (as *AddressSpace) Walk(vpn uint64) uint64 {
 	return pfn
 }
 
-// WalkN charges n consecutive walks of the same vpn — the wrong-path bulk
-// fetch path, where the oracle scheme walks once per fetch. Statistics and
-// first-touch mapping match n calls to Walk exactly.
-func (as *AddressSpace) WalkN(vpn uint64, n uint64) uint64 {
-	pfn := as.Walk(vpn)
-	as.stats.Walks += n - 1
-	return pfn
-}
-
 // Lookup returns the current mapping without allocating.
 func (as *AddressSpace) Lookup(vpn uint64) (uint64, bool) {
 	pfn, ok := as.pages[vpn]
