@@ -181,8 +181,8 @@ type Engine struct {
 	stats Stats
 }
 
-// NewEngine builds an engine. The TLB should already have an energy meter
-// attached; the engine shares it for CFR/comparator accounting.
+// NewEngine builds an engine. The meter is required: the TLB should already
+// have it attached, and the engine shares it for CFR/comparator accounting.
 func NewEngine(scheme Scheme, style cache.Style, geom addr.Geometry,
 	itlb *tlb.TLB, space *vm.AddressSpace, meter *energy.Meter) *Engine {
 	e := &Engine{
@@ -228,9 +228,7 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 func (e *Engine) OnContextSwitch() {
 	e.itlb.Flush()
 	if e.scheme.UsesCFR() && e.cfr.Valid {
-		if e.meter != nil {
-			e.meter.AddCFRWrite()
-		}
+		e.meter.AddCFRWrite()
 	}
 }
 
@@ -250,9 +248,7 @@ func (e *Engine) lookup(vpn uint64, cause Cause) (uint64, int) {
 	e.stats.WalkCycles += uint64(r.ExtraCycles)
 	if e.scheme.UsesCFR() {
 		e.cfr = CFR{VPN: vpn, PFN: r.PFN, Valid: true}
-		if e.meter != nil {
-			e.meter.AddCFRWrite()
-		}
+		e.meter.AddCFRWrite()
 		// Keep the OS pin on the CFR-resident page (§3.2).
 		e.space.Pin(vpn)
 	}
@@ -310,9 +306,7 @@ func (e *Engine) FetchTranslate(pc addr.VAddr, sequential, wrongPath bool) Fetch
 		// Comparator on every fetch (§3.3.1) — the energy that separates
 		// HoA from OPT in Figure 4.
 		e.stats.Comparisons++
-		if e.meter != nil {
-			e.meter.AddComparison()
-		}
+		e.meter.AddComparison()
 		if e.cfr.Covers(vpn) {
 			return e.cfrHit(pc)
 		}
@@ -341,9 +335,7 @@ func (e *Engine) FetchTranslate(pc addr.VAddr, sequential, wrongPath bool) Fetch
 
 func (e *Engine) cfrHit(pc addr.VAddr) FetchOutcome {
 	e.stats.CFRHits++
-	if e.meter != nil {
-		e.meter.AddCFRRead()
-	}
+	e.meter.AddCFRRead()
 	return FetchOutcome{PFN: e.geom.Translate(e.cfr.PFN, pc)}
 }
 
@@ -363,9 +355,7 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 		// HoA's comparator.
 		if e.scheme == HoA {
 			e.stats.Comparisons += n
-			if e.meter != nil {
-				e.meter.AddComparisons(n)
-			}
+			e.meter.AddComparisons(n)
 		}
 		return true
 	}
@@ -379,9 +369,7 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 			return false
 		}
 		e.stats.Comparisons += n
-		if e.meter != nil {
-			e.meter.AddComparisons(n)
-		}
+		e.meter.AddComparisons(n)
 	case SoCA, SoLA, IA:
 		if e.pending || !e.cfr.Valid || e.cfr.VPN != vpn {
 			return false
@@ -390,9 +378,7 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 		return false
 	}
 	e.stats.CFRHits += n
-	if e.meter != nil {
-		e.meter.AddCFRReads(n)
-	}
+	e.meter.AddCFRReads(n)
 	return true
 }
 
@@ -579,9 +565,7 @@ func (e *Engine) OnFetchObserved(pc addr.VAddr) {
 		return
 	}
 	e.stats.Comparisons++
-	if e.meter != nil {
-		e.meter.AddComparison()
-	}
+	e.meter.AddComparison()
 	// The comparator result is consumed lazily: it keeps the CFR coverage
 	// exact, which OnIL1Miss models by comparing VPNs directly.
 }

@@ -17,13 +17,6 @@ import (
 	"itlbcfr/internal/workload"
 )
 
-// scalarOnly hides a source's Batcher/Snapshotter extensions, forcing the
-// machine onto the fully scalar per-instruction path — the reference
-// implementation the bulk fast path must match bit for bit.
-type scalarOnly struct{ src program.Source }
-
-func (s scalarOnly) Step() program.Step { return s.src.Step() }
-
 // stack is one fully assembled machine plus the components it borrows.
 type stack struct {
 	m      *Machine
@@ -42,13 +35,14 @@ func buildStack(t testing.TB, cfg Config, img *program.Image, scheme core.Scheme
 	meter := energy.NewMeter(energy.NewModel(energy.DefaultTech), itlbCfg.EntriesPerLevel(), itlbCfg.AssocPerLevel())
 	itlb.AttachMeter(meter)
 	engine := core.NewEngine(scheme, cfg.IL1Style, geom, itlb, space, meter)
-	var src program.Source = program.NewExecutor(img, 42, nil)
-	if scalar {
-		src = scalarOnly{src}
-	}
-	m, err := New(cfg, img, src, engine, space)
+	m, err := New(cfg, img, program.NewExecutor(img, 42, nil), engine, space)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if scalar {
+		// Keep the machine on the scalar per-group loop — the reference
+		// implementation the bulk path must match bit for bit.
+		m.bulk = false
 	}
 	return &stack{m: m, engine: engine, itlb: itlb, space: space, meter: meter}
 }
@@ -85,12 +79,11 @@ func benchImage(t testing.TB, scheme core.Scheme) *program.Image {
 	return c
 }
 
-// TestBulkPathMatchesScalar pins the bulk fast path (correct-path fetch
-// groups, wrong-path groups, the engine's batched translate calls, the TLB
-// hot-slot memo) to the scalar reference: for every scheme × iL1 style the
-// entire Result, engine statistics, iTLB statistics and accumulated energy
-// must be identical whether or not the source exposes the batched
-// interface.
+// TestBulkPathMatchesScalar pins the bulk fast path (bulkGroups retiring
+// whole correct-path fetch groups through the engine's batched
+// FetchTranslateRun call) to the scalar per-group loop: for every scheme ×
+// iL1 style the entire Result, engine statistics, iTLB statistics and
+// accumulated energy must be identical whether or not the bulk path runs.
 func TestBulkPathMatchesScalar(t *testing.T) {
 	schemes := []core.Scheme{core.Base, core.OPT, core.HoA, core.SoCA, core.SoLA, core.IA}
 	styles := []cache.Style{cache.VIVT, cache.VIPT, cache.PIPT}
@@ -101,11 +94,8 @@ func TestBulkPathMatchesScalar(t *testing.T) {
 				cfg := testConfig(style)
 				fast := buildStack(t, cfg, img, scheme, false)
 				slow := buildStack(t, cfg, img, scheme, true)
-				if fast.m.batcher == nil {
-					t.Fatal("executor should expose the batched interface")
-				}
-				if slow.m.batcher != nil {
-					t.Fatal("scalarOnly wrapper leaked the batched interface")
+				if !fast.m.bulk {
+					t.Fatal("bulk path should be enabled without a cadence")
 				}
 				resFast := fast.run(2_000, 20_000)
 				resSlow := slow.run(2_000, 20_000)
@@ -137,6 +127,9 @@ func TestBulkPathDisabledUnderCadence(t *testing.T) {
 	cfg.RemapEvery = 1100
 	fast := buildStack(t, cfg, img, core.IA, false)
 	slow := buildStack(t, cfg, img, core.IA, true)
+	if fast.m.bulk {
+		t.Fatal("bulk path enabled under a cadence")
+	}
 	resFast := fast.run(1_000, 10_000)
 	resSlow := slow.run(1_000, 10_000)
 	if !reflect.DeepEqual(resFast, resSlow) {
@@ -237,10 +230,7 @@ func TestCheckpointForkDeterminism(t *testing.T) {
 			orig.m.ResetStats()
 			orig.itlb.ResetStats()
 			orig.meter.Reset()
-			mst, ok := orig.m.Checkpoint()
-			if !ok {
-				t.Fatal("executor source must be checkpointable")
-			}
+			mst := orig.m.Checkpoint()
 			est := orig.engine.Snapshot()
 			tst := orig.itlb.Snapshot()
 			vst := orig.space.Snapshot()

@@ -174,10 +174,9 @@ func (r Result) IPC() float64 {
 	return float64(r.Committed) / float64(r.Cycles)
 }
 
-// stepBufLen sizes the correct-path step read-ahead buffer used with
-// program.Batcher sources: large enough to amortize the batched-call and
-// pre-refill snapshot overhead, small enough that a checkpoint replays it
-// instantly.
+// stepBufLen sizes the correct-path step read-ahead buffer: large enough to
+// amortize the batched-call and pre-refill snapshot overhead, small enough
+// that a checkpoint replays it instantly.
 const stepBufLen = 256
 
 // Machine wires one benchmark image to one scheme/style configuration.
@@ -200,7 +199,7 @@ type Machine struct {
 	eager         bool                    // IL1Style is VIPT or PIPT (translate at fetch)
 	pipt          bool                    // IL1Style is PIPT
 	schemeBase    bool                    // engine scheme is core.Base
-	noCadence     bool                    // no periodic OS-pressure events configured
+	bulk          bool                    // bulkGroups may run: no periodic OS-pressure events configured
 	hasDataCFR    bool                    // cfg.DataCFR (§5 extension enabled)
 	il1BlockShift uint                    // log2(IL1.BlockBytes)
 	invWidth      float64                 // 1 / min(IssueWidth, CommitWidth)
@@ -209,16 +208,13 @@ type Machine struct {
 	mlp           float64                 // cfg.MLPFactor
 	walkFn        func(vpn uint64) uint64 // bound m.space.Walk (avoids a per-miss closure)
 
-	// Correct-path step read-ahead. When the source is a program.Batcher,
-	// steps are pulled stepBufLen at a time into stepBuf and consumed from
-	// stepPos; srcState holds the source's position captured just before the
-	// last refill, which is what makes the read-ahead checkpointable.
-	batcher  program.Batcher
-	snap     program.Snapshotter
+	// Correct-path step read-ahead. Steps are pulled stepBufLen at a time
+	// into stepBuf and consumed from stepPos; srcState holds the source's
+	// position captured just before the last refill, so the source always
+	// sits one buffer past srcState and the read-ahead is checkpointable.
 	stepBuf  []program.Step
 	stepPos  int
 	srcState program.SourceState
-	one      program.Step // return slot for unbatched sources
 
 	frontCycle uint64
 	backCycle  float64
@@ -251,7 +247,7 @@ type Machine struct {
 // New builds a machine. The engine must have been constructed over the same
 // address space and geometry, and ex must walk the correct path of img
 // (program.NewExecutor for synthetic workloads, a trace replay source for
-// captured ones).
+// captured ones). New pulls the first stepBufLen steps from ex.
 func New(cfg Config, img *program.Image, ex program.Source,
 	engine *core.Engine, space *vm.AddressSpace) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -274,7 +270,7 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	m.eager = cfg.IL1Style == cache.VIPT || cfg.IL1Style == cache.PIPT
 	m.pipt = cfg.IL1Style == cache.PIPT
 	m.schemeBase = engine.Scheme() == core.Base
-	m.noCadence = cfg.ContextSwitchEvery == 0 && cfg.RemapEvery == 0
+	m.bulk = cfg.ContextSwitchEvery == 0 && cfg.RemapEvery == 0
 	m.hasDataCFR = cfg.DataCFR
 	m.il1BlockShift = uint(bits.TrailingZeros64(uint64(cfg.IL1.BlockBytes)))
 	width := cfg.IssueWidth
@@ -286,12 +282,8 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	m.dramLatency = cfg.DRAMLatency
 	m.mlp = cfg.MLPFactor
 	m.walkFn = space.Walk
-	if b, ok := ex.(program.Batcher); ok {
-		m.batcher = b
-		m.stepBuf = make([]program.Step, stepBufLen)
-		m.stepPos = stepBufLen // empty: first nextStep refills
-	}
-	m.snap, _ = ex.(program.Snapshotter)
+	m.stepBuf = make([]program.Step, stepBufLen)
+	m.refill()
 	m.fetchPC = img.Entry
 	m.sequential = true
 	// The OS invalidates the data CFR alongside the dTLB entry when the
@@ -406,20 +398,19 @@ func (m *Machine) fetchInst(pc addr.VAddr, wrongPath bool) (stall int, usedTLB b
 	return stall, usedTLB
 }
 
-// nextStep returns the next correct-path step. Batcher sources are pulled
-// stepBufLen steps at a time; srcState captures the source's position just
-// before each refill so Checkpoint can reproduce the read-ahead exactly.
+// refill pulls the next stepBufLen correct-path steps into the buffer. It
+// captures the source's position first, so Checkpoint can reproduce the
+// read-ahead exactly; it is the only code that fills the buffer.
+func (m *Machine) refill() {
+	m.srcState = m.ex.SnapshotState()
+	m.ex.StepN(m.stepBuf)
+	m.stepPos = 0
+}
+
+// nextStep returns the next correct-path step.
 func (m *Machine) nextStep() *program.Step {
-	if m.batcher == nil {
-		m.one = m.ex.Step()
-		return &m.one
-	}
 	if m.stepPos == stepBufLen {
-		if m.snap != nil {
-			m.srcState = m.snap.SnapshotState()
-		}
-		m.batcher.StepN(m.stepBuf)
-		m.stepPos = 0
+		m.refill()
 	}
 	s := &m.stepBuf[m.stepPos]
 	m.stepPos++
@@ -442,7 +433,7 @@ func (m *Machine) chargeGroup(groupStall int, groupUsedTLB bool) {
 
 // stepGroup fetches and executes one correct-path fetch group.
 func (m *Machine) stepGroup() {
-	if m.batcher != nil && m.noCadence && m.bulkGroups() {
+	if m.bulk && m.bulkGroups() {
 		return
 	}
 	groupStall := 0
@@ -524,11 +515,7 @@ func (m *Machine) stepGroup() {
 // Returns false (having changed nothing) when no full group qualifies.
 func (m *Machine) bulkGroups() bool {
 	if m.stepPos == stepBufLen {
-		if m.snap != nil {
-			m.srcState = m.snap.SnapshotState()
-		}
-		m.batcher.StepN(m.stepBuf)
-		m.stepPos = 0
+		m.refill()
 	}
 	w := m.cfg.FetchWidth
 	// Under an eager style nothing retired in bulk can refill or invalidate
@@ -861,23 +848,16 @@ type MachineState struct {
 	dtlb *tlb.State
 	pred *bpred.State
 
-	// Source position. When srcAhead is set the source had been pulled
-	// stepPos..stepBufLen steps ahead of the machine: src is its position
-	// from just before the last buffer refill, and Restore re-runs that
-	// refill to rebuild the identical buffer contents.
-	src      program.SourceState
-	srcAhead bool
-	stepPos  int
+	// Source position: src is the source's position from just before the
+	// last buffer refill, and stepPos how far the machine had consumed that
+	// buffer. Restore re-runs the refill to rebuild the identical contents.
+	src     program.SourceState
+	stepPos int
 }
 
-// Checkpoint captures the machine's warm state. It reports false when the
-// correct-path source does not implement program.Snapshotter, in which case
-// the machine cannot be forked and callers fall back to a full warm-up.
-func (m *Machine) Checkpoint() (*MachineState, bool) {
-	if m.snap == nil {
-		return nil, false
-	}
-	st := &MachineState{
+// Checkpoint captures the machine's warm state.
+func (m *Machine) Checkpoint() *MachineState {
+	return &MachineState{
 		frontCycle:     m.frontCycle,
 		backCycle:      m.backCycle,
 		cycleBase:      m.cycleBase,
@@ -897,15 +877,9 @@ func (m *Machine) Checkpoint() (*MachineState, bool) {
 		l2:             m.l2.Snapshot(),
 		dtlb:           m.dtlb.Snapshot(),
 		pred:           m.pred.Snapshot(),
+		src:            m.srcState,
+		stepPos:        m.stepPos,
 	}
-	if m.batcher != nil && m.stepPos < stepBufLen {
-		st.src = m.srcState
-		st.srcAhead = true
-		st.stepPos = m.stepPos
-	} else {
-		st.src = m.snap.SnapshotState()
-	}
-	return st, true
 }
 
 // Restore reinstates a state captured by Checkpoint on a machine built with
@@ -913,12 +887,6 @@ func (m *Machine) Checkpoint() (*MachineState, bool) {
 // for restoring the borrowed components (engine, iTLB, address space) to the
 // matching snapshot — a machine restored without them will desynchronize.
 func (m *Machine) Restore(st *MachineState) error {
-	if m.snap == nil {
-		return fmt.Errorf("pipeline: source %T cannot restore state", m.ex)
-	}
-	if st.srcAhead && m.batcher == nil {
-		return fmt.Errorf("pipeline: state has buffered read-ahead but source %T is not a Batcher", m.ex)
-	}
 	if err := m.il1.Restore(st.il1); err != nil {
 		return fmt.Errorf("pipeline: iL1: %w", err)
 	}
@@ -934,18 +902,13 @@ func (m *Machine) Restore(st *MachineState) error {
 	if err := m.pred.Restore(st.pred); err != nil {
 		return fmt.Errorf("pipeline: predictor: %w", err)
 	}
-	if err := m.snap.RestoreState(st.src); err != nil {
+	if err := m.ex.RestoreState(st.src); err != nil {
 		return fmt.Errorf("pipeline: source: %w", err)
 	}
-	if st.srcAhead {
-		// Re-run the refill the checkpointed machine had already done; the
-		// source is deterministic, so the buffer contents come out identical.
-		m.srcState = st.src
-		m.batcher.StepN(m.stepBuf)
-		m.stepPos = st.stepPos
-	} else if m.batcher != nil {
-		m.stepPos = stepBufLen
-	}
+	// Re-run the refill the checkpointed machine had already done; the
+	// source is deterministic, so the buffer contents come out identical.
+	m.refill()
+	m.stepPos = st.stepPos
 	m.frontCycle = st.frontCycle
 	m.backCycle = st.backCycle
 	m.cycleBase = st.cycleBase

@@ -122,41 +122,29 @@ type Step struct {
 	Data  addr.VAddr // Load/Store: effective data address
 }
 
+// SourceState is an opaque deep snapshot of a Source's progress. It must not
+// alias mutable source memory: restoring the same state onto several fresh
+// sources concurrently must be safe.
+type SourceState interface{}
+
 // Source produces the architectural correct-path instruction stream the
 // pipeline consumes as its oracle. Executor is the synthetic-workload
 // implementation; internal/trace replays stored fetch traces through the
 // same contract. Implementations must uphold what the pipeline and the CFR
-// engine assume of the correct path: Step never ends (sources loop), PC of
-// each step equals Next of the previous one, and every transition where
-// Next is not PC+InstBytes is flagged by a CTI instruction with Taken set —
-// a silent non-sequential transition would change pages without arming a
-// translation and trip the engine's stale-use detector.
+// engine assume of the correct path: the stream never ends (sources loop),
+// PC of each step equals Next of the previous one, and every transition
+// where Next is not PC+InstBytes is flagged by a CTI instruction with Taken
+// set — a silent non-sequential transition would change pages without
+// arming a translation and trip the engine's stale-use detector.
+//
+// A Source is independent of machine state, so the pipeline may pull steps
+// well ahead of what it has consumed, and it is deterministic, so a warm
+// machine can be forked: a fresh source built over the same workload and
+// restored to a captured position reproduces the exact step sequence the
+// original would have produced.
 type Source interface {
-	Step() Step
-}
-
-// Batcher is an optional Source extension the pipeline uses to amortize
-// per-instruction interface dispatch: StepN fills dst completely (sources
-// never end), equivalent to len(dst) consecutive Step calls. The pipeline
-// buffers the produced steps, so a Batcher may be asked for steps well ahead
-// of what the machine has consumed — which is always safe, because a Source
-// is by contract independent of machine state.
-type Batcher interface {
-	Source
+	// StepN fills dst with the next len(dst) steps.
 	StepN(dst []Step)
-}
-
-// SourceState is an opaque deep snapshot of a Source's progress, produced by
-// a Snapshotter. It must not alias mutable source memory: restoring the same
-// state onto several fresh sources concurrently must be safe.
-type SourceState interface{}
-
-// Snapshotter is an optional Source extension for warm-state forking: a
-// deterministic source can capture its position and reinstate it on a fresh
-// source built over the same underlying workload, which then reproduces the
-// exact step sequence the original would have produced.
-type Snapshotter interface {
-	Source
 	// SnapshotState captures the source's current position.
 	SnapshotState() SourceState
 	// RestoreState rewinds this source to a previously captured position.
@@ -241,19 +229,18 @@ func (ex *Executor) Steps() uint64 { return ex.steps }
 // CallDepth returns the current call-stack depth.
 func (ex *Executor) CallDepth() int { return len(ex.stack) }
 
-// Step executes one instruction and returns what happened.
+// Step executes one instruction and returns what happened: a one-slot
+// StepN, for callers that walk the correct path outside the pipeline.
 func (ex *Executor) Step() Step {
-	var st Step
-	ex.stepInto(&st)
-	return st
+	var st [1]Step
+	ex.StepN(st[:])
+	return st[0]
 }
 
-// StepN executes len(dst) instructions, writing each outcome in place —
-// program.Batcher for the pipeline's step buffer. Equivalent to len(dst)
-// consecutive Step calls (same RNG consumption, same stack discipline), but
-// the interpreter body is specialized here with the image, code slice and PC
-// held in locals across the whole batch instead of reloaded through ex per
-// instruction — the cursor writes back once at the end.
+// StepN executes len(dst) instructions, writing each outcome in place. It is
+// the executor's one interpreter: the image, code slice and PC stay in
+// locals across the whole batch instead of being reloaded through ex per
+// instruction, and the cursor writes back once at the end.
 func (ex *Executor) StepN(dst []Step) {
 	img := ex.img
 	base, end := img.Base, ex.end
@@ -293,6 +280,8 @@ func (ex *Executor) StepN(dst []Step) {
 				next = ex.stack[n-1]
 				ex.stack = ex.stack[:n-1]
 			} else {
+				// Unmatched return: restart at the entry. The generator
+				// emits matched pairs, so this is a safety net.
 				next = img.Entry
 			}
 		case isa.IndJump:
@@ -308,58 +297,6 @@ func (ex *Executor) StepN(dst []Step) {
 	ex.steps += uint64(len(dst))
 }
 
-// stepInto is the single-instruction interpreter shared by Step and StepN.
-func (ex *Executor) stepInto(st *Step) {
-	pc := ex.pc
-	img := ex.img
-	if pc < img.Base || pc >= ex.end {
-		panic(fmt.Sprintf("program %s: correct path escaped image at %#x", img.Name, uint64(pc)))
-	}
-	in := &img.Code[(pc-img.Base)/addr.InstBytes]
-	st.PC = pc
-	st.Inst = in
-	st.Taken = false
-	st.Kind = in.Kind
-	st.Plain = in.Plain
-	st.Next = pc + addr.InstBytes
-	st.Data = 0
-
-	switch in.Kind {
-	case isa.CondBranch:
-		st.Taken = ex.rng.Bool(float64(in.TakenBias))
-		if st.Taken {
-			st.Next = in.Target
-		}
-	case isa.Jump:
-		st.Taken = true
-		st.Next = in.Target
-	case isa.Call:
-		st.Taken = true
-		st.Next = in.Target
-		if len(ex.stack) < maxCallDepth {
-			ex.stack = append(ex.stack, pc+addr.InstBytes)
-		}
-	case isa.Ret:
-		st.Taken = true
-		if n := len(ex.stack); n > 0 {
-			st.Next = ex.stack[n-1]
-			ex.stack = ex.stack[:n-1]
-		} else {
-			// Unmatched return: restart at the entry. The generator emits
-			// matched pairs, so this is a safety net, not a hot path.
-			st.Next = img.Entry
-		}
-	case isa.IndJump:
-		st.Taken = true
-		st.Next = ex.pickIndirect(in)
-	case isa.Load, isa.Store:
-		st.Data = ex.nextData(int(in.DataStream))
-	}
-
-	ex.pc = st.Next
-	ex.steps++
-}
-
 // executorState is the Executor's SourceState: position, call stack, RNG
 // cursor and per-stream data positions. Everything is copied, nothing
 // aliased, so a published state can seed many executors concurrently.
@@ -371,7 +308,7 @@ type executorState struct {
 	steps uint64
 }
 
-// SnapshotState captures the executor's exact position (program.Snapshotter).
+// SnapshotState captures the executor's exact position.
 func (ex *Executor) SnapshotState() SourceState {
 	s := &executorState{
 		pc:    ex.pc,

@@ -297,15 +297,10 @@ func (b *built) runWarm() {
 
 // checkpoint captures the complete post-warm-up state — machine, engine,
 // iTLB and address space; the meter is zero at this point by construction
-// and needs no capture. Returns nil when the correct-path source cannot be
-// snapshotted.
+// and needs no capture.
 func (b *built) checkpoint() *warmState {
-	mst, ok := b.machine.Checkpoint()
-	if !ok {
-		return nil
-	}
 	return &warmState{
-		machine: mst,
+		machine: b.machine.Checkpoint(),
 		engine:  b.engine.Snapshot(),
 		itlb:    b.itlb.Snapshot(),
 		space:   b.space.Snapshot(),

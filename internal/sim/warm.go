@@ -49,7 +49,7 @@ func keyOf(opt Options) string {
 // WarmStats counts a pool's activity.
 type WarmStats struct {
 	// Warmups is how many full warm-up phases executed (one per distinct
-	// warm key, plus any fallbacks for unsnapshotable sources).
+	// warm key, plus any fallbacks after an owner published no state).
 	Warmups uint64 `json:"warmups"`
 	// Hits is how many simulations forked a pooled state instead of
 	// warming up.
@@ -59,8 +59,8 @@ type WarmStats struct {
 }
 
 // warmEntry is one pool slot. ready is closed once state is valid; a nil
-// state after ready means the owner's source could not be snapshotted and
-// waiters must warm up on their own.
+// state after ready means the owner published nothing (it panicked, or
+// Prewarm skipped or canceled it) and waiters must warm up on their own.
 type warmEntry struct {
 	ready chan struct{}
 	state *warmState
@@ -118,7 +118,7 @@ func (p *WarmPool) warmup(opt Options, b *built) error {
 	}
 	<-e.ready
 	if e.state == nil {
-		// The owner's source was not snapshotable; warm up the slow way.
+		// The owner published no state; warm up the slow way.
 		p.mu.Lock()
 		p.warmups++
 		p.mu.Unlock()

@@ -35,11 +35,26 @@ func stripWall(r Result) Result {
 
 // TestWarmForkByteIdentical pins the warm-state pool's core contract: a
 // simulation that forks a pooled post-warm-up snapshot returns exactly the
-// result of one that executes its own warm-up.
+// result of one that executes its own warm-up. Every program.Source must
+// fork, so the cases cover both sources: the synthetic executor and trace
+// replay.
 func TestWarmForkByteIdentical(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.Base, core.IA} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			opt := warmTestOptions(t, scheme)
+	cases := []struct {
+		name string
+		opt  func(t *testing.T) Options
+	}{
+		{"Base", func(t *testing.T) Options { return warmTestOptions(t, core.Base) }},
+		{"IA", func(t *testing.T) Options { return warmTestOptions(t, core.IA) }},
+		{"trace", func(t *testing.T) Options {
+			// A trace shorter than the warm-up: the fork must fast-forward
+			// across wrap-arounds.
+			return Options{Trace: synthRef(t, 7, 4_000), Scheme: core.SoLA,
+				Instructions: 20_000, Warmup: 5_000}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt(t)
 			plain, err := Run(opt)
 			if err != nil {
 				t.Fatal(err)

@@ -380,18 +380,6 @@ type Result struct {
 // The walker must always succeed (the synthetic OS maps all code/data pages);
 // translation *faults* are modelled in internal/vm, not here.
 func (t *TLB) Lookup(vpn uint64, walk func(vpn uint64) uint64) Result {
-	// Monolithic TLBs (the common configuration) skip the level loop.
-	if len(t.levels) == 1 {
-		t.stats.Accesses[0]++
-		if t.meter != nil {
-			t.meter.AddAccess(0)
-		}
-		if pfn, ok := t.levels[0].lookup(vpn); ok {
-			t.stats.Hits[0]++
-			return Result{PFN: pfn, HitLevel: 0}
-		}
-		return t.walkFill(vpn, walk, t.cfg.MissPenalty)
-	}
 	if t.cfg.Parallel && len(t.levels) == 2 {
 		return t.lookupParallel(vpn, walk)
 	}

@@ -42,7 +42,7 @@ func (s *site) addTarget(t uint64) {
 // outcomes (one taken target with fall-throughs → CondBranch, always-taken
 // single target → Jump, several targets → IndJump), and the image is
 // compiled with BOUNDARY stubs when the scheme needs them — the same pass
-// the synthetic workloads get. Pass 2 (Step) replays the records through
+// the synthetic workloads get. Pass 2 (StepN) replays the records through
 // the relocation map, synthesizing the stub steps the compiler inserted
 // between old-sequential neighbors and, at end of trace, one Jump back to
 // the first record so the source loops forever as the contract requires.
@@ -256,15 +256,9 @@ func (r *Replay) rewind() error {
 	return nil
 }
 
-// Step implements program.Source. Pass 1 validated the whole stream and
+// StepN implements program.Source. Pass 1 validated the whole stream and
 // its content address, so decode or contract errors here mean the backing
 // file changed mid-run; they panic like the pipeline's own desync check.
-func (r *Replay) Step() program.Step {
-	r.produced++
-	return r.step()
-}
-
-// StepN implements program.Batcher: len(dst) consecutive steps in one call.
 func (r *Replay) StepN(dst []program.Step) {
 	for i := range dst {
 		dst[i] = r.step()
@@ -280,7 +274,7 @@ type replayState struct {
 	produced uint64
 }
 
-// SnapshotState captures the replay position (program.Snapshotter).
+// SnapshotState captures the replay position.
 func (r *Replay) SnapshotState() program.SourceState {
 	return &replayState{produced: r.produced}
 }
@@ -302,8 +296,8 @@ func (r *Replay) RestoreState(state program.SourceState) error {
 		r.wraps = 0
 		r.produced = 0
 	}
-	for r.produced < s.produced {
-		r.Step()
+	for ; r.produced < s.produced; r.produced++ {
+		r.step()
 	}
 	return nil
 }
